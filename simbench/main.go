@@ -1,7 +1,7 @@
 // Command simbench is the repository's benchmark. It runs one workload
-// of the simulator — paper, week, fed or contend, see README.md — in a
-// child process of its own, checks the simulated output against the
-// reference recorded for the seed, and prints one JSON result line.
+// of the simulator — paper, week, fed or contend, see README.md — once
+// per child process, checks the simulated output against the reference
+// recorded for the seed, and prints one JSON result line.
 //
 //	simbench -workload week -seed 42 -seconds 5 -trace 0
 //
@@ -19,7 +19,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -41,7 +40,7 @@ func main() {
 	seed := flag.Int64("seed", 42, "seed the workload's inputs are made from")
 	seconds := flag.Float64("seconds", 5, "minimum measured wall seconds; the workload repeats until reached")
 	trace := flag.Int("trace", 0, "0: end-to-end metrics; 1: per-layer metrics")
-	child := flag.Bool("child", false, "run the workload in this process and print the raw result (used by the parent)")
+	child := flag.Bool("child", false, "run the workload once in this process and print the raw result (used by the parent)")
 	flag.Parse()
 	wl, ok := findWorkload(*name)
 	if !ok || (*trace != 0 && *trace != 1) {
@@ -49,7 +48,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *child {
-		runChild(wl, *seed, *seconds, *trace == 1)
+		runChild(wl, *seed, *trace == 1)
 		return
 	}
 	res, err := measure(*root, wl, *seed, *seconds, *trace == 1)
@@ -67,19 +66,18 @@ func main() {
 
 // childResult is what a child process prints for its parent.
 type childResult struct {
-	Err   string  `json:",omitempty"`
-	Units []*unit `json:",omitempty"`
+	Err  string `json:",omitempty"`
+	Unit *unit  `json:",omitempty"`
 	// CPU holds CPU-profile seconds per bucket (traced children only).
 	CPU map[string]float64 `json:",omitempty"`
 	// AllocMB and GCCycles are runtime.MemStats totals taken when the
-	// profiled units end (traced children only).
+	// profiled execution ends (traced children only).
 	AllocMB, GCCycles float64
 	Spans             []span `json:",omitempty"`
 }
 
-// runChild executes the workload until at least seconds of measured
-// time have passed (at least once) and prints the raw result.
-func runChild(wl workloadDef, seed int64, seconds float64, traced bool) {
+// runChild executes the workload once and prints the raw result.
+func runChild(wl workloadDef, seed int64, traced bool) {
 	var res childResult
 	tr := newTracer(traced)
 	var prof bytes.Buffer
@@ -88,14 +86,14 @@ func runChild(wl workloadDef, seed int64, seconds float64, traced bool) {
 			res.Err = err.Error()
 		}
 	}
-	for measured := 0.0; res.Err == "" && (len(res.Units) == 0 || measured < seconds); {
+	if res.Err == "" {
 		u, err := wl.run(seed, tr)
 		if err != nil {
 			res.Err = err.Error()
-			break
+		} else {
+			u.Seed = seed
+			res.Unit = u
 		}
-		res.Units = append(res.Units, u)
-		measured += u.RunS
 	}
 	if traced {
 		pprof.StopCPUProfile()
@@ -110,7 +108,7 @@ func runChild(wl workloadDef, seed int64, seconds float64, traced bool) {
 			res.CPU = cpu
 		}
 		if res.Err == "" && wl.probe != nil {
-			if err := wl.probe(seed, tr, res.Units[0]); err != nil {
+			if err := wl.probe(seed, tr, res.Unit); err != nil {
 				res.Err = err.Error()
 			}
 		}
@@ -122,6 +120,12 @@ func runChild(wl workloadDef, seed int64, seconds float64, traced bool) {
 	}
 }
 
+// execSeed is the input seed of a run's i-th execution of a workload:
+// the run's seed first, then seed+1000, seed+2000, ... Each execution
+// after the first replays other inputs, so a run's median spans several
+// inputs instead of one.
+func execSeed(seed int64, i int) int64 { return seed + 1000*int64(i) }
+
 // childRun is one child's result with the resources the kernel charged
 // to the child process alone.
 type childRun struct {
@@ -129,13 +133,13 @@ type childRun struct {
 	cpuS, rssMB float64
 }
 
-func spawn(ctx context.Context, wl workloadDef, seed int64, seconds float64, traced bool) (*childRun, error) {
+func spawn(ctx context.Context, wl workloadDef, seed int64, traced bool) (*childRun, error) {
 	trace := "0"
 	if traced {
 		trace = "1"
 	}
 	cmd := exec.CommandContext(ctx, os.Args[0], "-child", "-workload", wl.name,
-		"-seed", strconv.FormatInt(seed, 10), "-seconds", strconv.FormatFloat(seconds, 'g', -1, 64), "-trace", trace)
+		"-seed", strconv.FormatInt(seed, 10), "-trace", trace)
 	cmd.Stderr = os.Stderr
 	cmd.SysProcAttr = &syscall.SysProcAttr{Pdeathsig: syscall.SIGKILL}
 	out, err := cmd.Output()
@@ -145,6 +149,9 @@ func spawn(ctx context.Context, wl workloadDef, seed int64, seconds float64, tra
 	run := &childRun{}
 	if err := json.Unmarshal(out, &run.childResult); err != nil {
 		return nil, fmt.Errorf("child result: %w", err)
+	}
+	if run.Err == "" && run.Unit == nil {
+		return nil, errors.New("child: no result")
 	}
 	ru, ok := cmd.ProcessState.SysUsage().(*syscall.Rusage)
 	if !ok {
@@ -170,26 +177,39 @@ type result struct {
 }
 
 // measure runs the workload's child processes and assembles the result.
+// Untraced children, one execution each, run one after the other until
+// at least wl.minRuns of them ran and seconds of measured time have
+// passed; the metrics are medians over them. A traced run needs one
+// untraced child for the overhead and then one traced child.
 func measure(root string, wl workloadDef, seed int64, seconds float64, traced bool) (*result, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), childBudget)
 	defer cancel()
-	plain, err := spawn(ctx, wl, seed, seconds, false)
-	if err != nil {
-		return nil, err
+	minRuns := max(1, wl.minRuns)
+	if traced {
+		minRuns = 1
 	}
-	runs := []*childRun{plain}
+	var plain []*childRun
+	for measured := 0.0; len(plain) < minRuns || measured < seconds; {
+		r, err := spawn(ctx, wl, execSeed(seed, len(plain)), false)
+		if err != nil {
+			return nil, err
+		}
+		plain = append(plain, r)
+		if r.Unit == nil {
+			break
+		}
+		measured += r.Unit.RunS
+	}
+	runs := plain
 	var tracedRun *childRun
 	if traced {
-		if tracedRun, err = spawn(ctx, wl, seed, seconds, true); err != nil {
+		var err error
+		if tracedRun, err = spawn(ctx, wl, seed, true); err != nil {
 			return nil, err
 		}
 		runs = append(runs, tracedRun)
 	}
 
-	ref, err := os.ReadFile(filepath.Join(root, "simbench", "ref", fmt.Sprintf("%s.%d.csv", wl.name, seed)))
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, err
-	}
 	res := &result{Correct: true, Metrics: map[string]metric{}}
 	completed := 0
 	for _, r := range runs {
@@ -197,18 +217,24 @@ func measure(root string, wl workloadDef, seed int64, seconds float64, traced bo
 			fmt.Fprintf(os.Stderr, "simbench: %s: %s\n", wl.name, r.Err)
 			res.Correct = false
 		}
-		for _, u := range r.Units {
-			if ref != nil && u.Output != string(ref) {
-				fmt.Fprintf(os.Stderr, "simbench: %s: output differs from the seed-%d reference:\n%s", wl.name, seed, u.Output)
-				res.Correct = false
-			}
-			if u.Attempted < 1 || u.Completed > u.Attempted {
-				fmt.Fprintf(os.Stderr, "simbench: %s: %d of %d submissions completed\n", wl.name, u.Completed, u.Attempted)
-				res.Correct = false
-			}
-			res.Attempted += u.Attempted
-			completed += u.Completed
+		u := r.Unit
+		if u == nil {
+			continue
 		}
+		ref, err := os.ReadFile(filepath.Join(root, "simbench", "ref", fmt.Sprintf("%s.%d.csv", wl.name, u.Seed)))
+		if err != nil && !errors.Is(err, os.ErrNotExist) {
+			return nil, err
+		}
+		if ref != nil && u.Output != string(ref) {
+			fmt.Fprintf(os.Stderr, "simbench: %s: output differs from the seed-%d reference:\n%s", wl.name, u.Seed, u.Output)
+			res.Correct = false
+		}
+		if u.Attempted < 1 || u.Completed > u.Attempted {
+			fmt.Fprintf(os.Stderr, "simbench: %s: %d of %d submissions completed\n", wl.name, u.Completed, u.Attempted)
+			res.Correct = false
+		}
+		res.Attempted += u.Attempted
+		completed += u.Completed
 	}
 	if res.Attempted < 1 {
 		res.Attempted = 1
@@ -218,22 +244,26 @@ func measure(root string, wl workloadDef, seed int64, seconds float64, traced bo
 	}
 
 	if !traced {
-		var runS, setups []float64
+		var runS, setups, cpuS, rssMB []float64
 		worlds := 0
-		for _, u := range plain.Units {
-			runS = append(runS, u.RunS)
-			setups = append(setups, u.Setups...)
-			worlds = u.Worlds
+		for _, r := range plain {
+			if r.Unit == nil {
+				continue
+			}
+			worlds = r.Unit.Worlds
+			runS = append(runS, r.Unit.RunS)
+			setups = append(setups, r.Unit.Setups...)
+			cpuS = append(cpuS, r.cpuS)
+			rssMB = append(rssMB, r.rssMB)
 		}
 		res.Metrics["run_s"] = metric{median(runS), "s"}
 		res.Metrics["setup_s"] = metric{float64(worlds) * median(setups), "s"}
-		// Per execution, should a fast machine repeat the workload.
-		res.Metrics["cpu_s"] = metric{plain.cpuS / executions(plain), "s"}
-		res.Metrics["peak_rss_mb"] = metric{plain.rssMB, "MB"}
+		res.Metrics["cpu_s"] = metric{median(cpuS), "s"}
+		res.Metrics["peak_rss_mb"] = metric{median(rssMB), "MB"}
 		res.Metrics["completed_ratio"] = metric{float64(completed) / float64(res.Attempted), "ratio"}
 		return res, nil
 	}
-	layerMetrics(res.Metrics, plain, tracedRun)
+	layerMetrics(res.Metrics, plain[0], tracedRun)
 	printSpans(tracedRun.Spans)
 	return res, nil
 }
@@ -258,9 +288,8 @@ func layerMetrics(m map[string]metric, plain, traced *childRun) {
 			fmt.Fprintf(os.Stderr, "simbench: CPU bucket %q is not reported on its own (%.3fs)\n", b, v)
 		}
 	}
-	per := executions(traced)
 	for _, b := range cpuBuckets {
-		m[b+".cpu_s"] = metric{traced.CPU[b] / per, "s"}
+		m[b+".cpu_s"] = metric{traced.CPU[b], "s"}
 	}
 	attributed := 0.0
 	if total > 0 {
@@ -271,10 +300,8 @@ func layerMetrics(m map[string]metric, plain, traced *childRun) {
 		fmt.Fprintf(os.Stderr, "simbench: only %.1f%% of CPU samples attributed to a layer\n", attributed)
 	}
 
-	var u *unit
-	if len(traced.Units) > 0 {
-		u = traced.Units[0]
-	} else {
+	u := traced.Unit
+	if u == nil {
 		u = newUnit(0)
 	}
 	c := u.Counters
@@ -283,11 +310,11 @@ func layerMetrics(m map[string]metric, plain, traced *childRun) {
 	}
 	m["mpd.reg_ms"] = metric{ratio(c["mpd.reg_ns"], c["mpd.registrations"]) / 1e6, "ms"}
 	m["overlay.stale_ms"] = metric{ratio(c["overlay.stale_ns"], c["overlay.stale_samples"]) / 1e6, "ms"}
-	m["gc.alloc_mb"] = metric{traced.AllocMB / per, "MB"}
-	m["gc.cycles"] = metric{traced.GCCycles / per, "count"}
+	m["gc.alloc_mb"] = metric{traced.AllocMB, "MB"}
+	m["gc.cycles"] = metric{traced.GCCycles, "count"}
 	m["exp.submit_ms_p50"] = metric{quantile(u.SubmitMS, 0.5), "ms"}
 	m["exp.submit_ms_p90"] = metric{quantile(u.SubmitMS, 0.9), "ms"}
-	m["trace.overhead_s"] = metric{medianRun(traced) - medianRun(plain), "s"}
+	m["trace.overhead_s"] = metric{runS(traced) - runS(plain), "s"}
 }
 
 // counterUnits lists the counters reported as they were read, with units.
@@ -309,18 +336,12 @@ func printSpans(spans []span) {
 	}
 }
 
-// executions is how many times the child ran the workload (at least 1),
-// the divisor that makes its process totals per execution.
-func executions(r *childRun) float64 {
-	return math.Max(1, float64(len(r.Units)))
-}
-
-func medianRun(r *childRun) float64 {
-	var xs []float64
-	for _, u := range r.Units {
-		xs = append(xs, u.RunS)
+// runS is a child's measured wall seconds (0 when it has no result).
+func runS(r *childRun) float64 {
+	if r.Unit == nil {
+		return 0
 	}
-	return median(xs)
+	return r.Unit.RunS
 }
 
 func ratio(a, b float64) float64 {

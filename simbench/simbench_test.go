@@ -121,12 +121,16 @@ func TestOpenWorkloadSmoke(t *testing.T) {
 	}
 }
 
-// TestReferences checks that every workload has its seed-42 reference
-// and that the paper's is `gridbench -exp all -format csv` at seed 42.
+// TestReferences checks that every workload has the references of the
+// executions an untraced seed-42 run takes, and that the paper's is
+// `gridbench -exp all -format csv` at seed 42.
 func TestReferences(t *testing.T) {
 	for _, w := range workloads {
-		if _, err := os.Stat(filepath.Join("ref", w.name+".42.csv")); err != nil {
-			t.Errorf("%s: %v", w.name, err)
+		for i := 0; i < max(1, w.minRuns); i++ {
+			name := fmt.Sprintf("%s.%d.csv", w.name, execSeed(42, i))
+			if _, err := os.Stat(filepath.Join("ref", name)); err != nil {
+				t.Errorf("%s: %v", w.name, err)
+			}
 		}
 	}
 	paper, err := os.ReadFile(filepath.Join("ref", "paper.42.csv"))

@@ -18,6 +18,8 @@ import (
 // output checked against the reference, and the layer counters read
 // from the program's public surface.
 type unit struct {
+	// Seed is the seed the execution's inputs were made from.
+	Seed int64
 	// Setups holds the wall seconds of each exp.NewWorld + World.Boot;
 	// Worlds is how many worlds the workload's own set-up builds.
 	Setups []float64
@@ -39,17 +41,24 @@ func newUnit(worlds int) *unit { return &unit{Worlds: worlds, Counters: map[stri
 
 // workloadDef is one benchmark workload. run executes it once; probe, when
 // set, adds idle-horizon counters in traced runs, after the CPU profile
-// has stopped.
+// has stopped. minRuns, when above 1, is how many executions, each in a
+// child process of its own, an untraced run takes at least.
 type workloadDef struct {
-	name  string
-	run   func(seed int64, tr *tracer) (*unit, error)
-	probe func(seed int64, tr *tracer, u *unit) error
+	name    string
+	run     func(seed int64, tr *tracer) (*unit, error)
+	probe   func(seed int64, tr *tracer, u *unit) error
+	minRuns int
 }
 
 var workloads = []workloadDef{
 	{name: "paper", run: runPaper},
 	{name: "week", run: weekSpec.run, probe: weekSpec.probe},
-	{name: "fed", run: runFed},
+	// One fed execution measures about 6 s after a 10 s boot. That phase
+	// allocates some 400 MB/s, which makes it swing by ±10% with the
+	// memory traffic of a shared host, and its liveness pings vary by
+	// some 8% from one seed to the next; an untraced run therefore takes
+	// the median of three executions on three seeds.
+	{name: "fed", run: runFed, minRuns: 3},
 	{name: "contend", run: contendSpec.run, probe: contendSpec.probe},
 }
 
