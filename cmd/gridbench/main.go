@@ -79,12 +79,14 @@
 // replies saturate long before the simulation core does.
 //
 // Experiments built from independent worlds (fig4's two strategy
-// worlds, every conc sweep point) run across a -workers wide pool;
+// worlds, every conc, scale, churn, open and nemesis sweep point) run
+// across a -workers wide pool;
 // outputs are byte-identical whatever the worker count. fig2 and fig3
 // are inherently sequential — their points share one world.
 //
 // The -seed flag changes the stochastic elements (latency jitter, key
-// generation); the published numbers in EXPERIMENTS.md use seed 42.
+// generation); the published numbers use seed 42 (README, "Regenerating
+// the paper's figures and tables").
 package main
 
 import (
@@ -93,6 +95,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -105,69 +108,158 @@ import (
 	"p2pmpi/internal/workload"
 )
 
-func main() {
-	which := flag.String("exp", "all", "experiment: table1|fig2|fig3|fig4ep|fig4is|all|conc|scale|churn|open|nemesis|estimators")
-	seed := flag.Int64("seed", 42, "simulation seed")
-	format := flag.String("format", "table", "output format: table|csv")
-	jobs := flag.String("jobs", "1,2,4,8,16", "conc: comma-separated K values (concurrent jobs per point)")
-	n := flag.Int("n", 32, "conc/scale/churn: processes per job")
-	r := flag.Int("r", 1, "conc/scale: replication degree per job")
-	gridSpec := flag.String("grid", "grid5000", "topology: grid5000 or synth:S=12,H=400,C=2,seed=7,rttmin=5ms,rttmax=25ms")
-	alloc := flag.String("a", "all", "conc/scale/churn: strategies, \"all\" or comma-separated names from: "+strings.Join(core.Names(), "|"))
-	hosts := flag.String("hosts", "", "scale: comma-separated world sizes (hosts); default: the -grid spec's own size")
-	sn := flag.String("sn", "", "supernode-federation width K; scale takes a comma-separated axis (e.g. 1,4,16), conc/churn a single value; default: the -grid spec's sn value (1)")
-	workers := flag.Int("workers", exp.DefaultWorkers(), "pool width for fig4, conc, scale and churn sweeps (independent worlds)")
-	shards := flag.Int("shards", 1, "conservative-parallel shard count per world: partition sites onto N event loops synchronized by lookahead barriers (1 = sequential; output is byte-identical for any value)")
-	// The churn duration flags all accept bare seconds ("600") or Go
+// kind says which flags an experiment takes and whether -exp all runs it.
+type kind int
+
+const (
+	figure kind = iota // a paper figure: run by -exp all, pinned to grid5000 and one supernode
+	pinned             // pinned like the figures, but not part of -exp all
+	family             // beyond the paper: takes -grid and -sn
+)
+
+// experiment is one -exp value.
+type experiment struct {
+	name, help string
+	kind       kind
+	run        func(e env) error
+}
+
+// env is the parsed state every experiment runs from.
+type env struct {
+	csv bool
+	// opts is the paper's harness (Grid'5000, one supernode); topoOpts
+	// deploys -grid with a single -sn width.
+	opts, topoOpts exp.Options
+	topo           grid.TopologySpec
+	strategies     []core.Strategy
+	snAxis         []int
+}
+
+var experiments = []experiment{
+	{"table1", "Table 1, the resource inventory", figure, func(e env) error {
+		if e.csv {
+			fmt.Print(exp.Table1CSV())
+		} else {
+			fmt.Print(exp.RenderTable1())
+		}
+		return nil
+	}},
+	{"fig2", "Figure 2, concentrate allocation", figure, func(e env) error {
+		pts, err := exp.Fig2(e.opts, nil)
+		return emit(e, pts, err, exp.SitePointsCSV, exp.RenderSitePoints,
+			"Figure 2: concentrate — allocated hosts/cores per site")
+	}},
+	{"fig3", "Figure 3, spread allocation", figure, func(e env) error {
+		pts, err := exp.Fig3(e.opts, nil)
+		return emit(e, pts, err, exp.SitePointsCSV, exp.RenderSitePoints,
+			"Figure 3: spread — allocated hosts/cores per site")
+	}},
+	{"fig4ep", "Figure 4 left, NAS EP times", figure, func(e env) error {
+		pts, err := exp.Fig4EP(e.opts, nil, *workers)
+		return emit(e, pts, err, exp.TimePointsCSV, exp.RenderTimePoints,
+			"Figure 4 (left): EP CLASS B total time")
+	}},
+	{"fig4is", "Figure 4 right, NAS IS times", figure, func(e env) error {
+		pts, err := exp.Fig4IS(e.opts, nil, *workers)
+		return emit(e, pts, err, exp.TimePointsCSV, exp.RenderTimePoints,
+			"Figure 4 (right): IS CLASS B total time")
+	}},
+	{"conc", "K concurrent jobs through the multi-job scheduler", family, runConc},
+	{"scale", "strategies across world sizes and federation widths", family, runScale},
+	{"churn", "survivability under seeded host churn", family, runChurn},
+	{"open", "open-system steady state under an arrival process", family, runOpen},
+	{"nemesis", "partition and gray-failure tolerance", family, runNemesis},
+	{"estimators", "latency-estimator ablation", pinned, func(e env) error {
+		pts, err := exp.EstimatorStudy(e.opts, nil, 4)
+		if err != nil {
+			return err
+		}
+		fmt.Println("Estimator study: booking-order quality after 4 probe rounds")
+		fmt.Printf("%-8s %12s\n", "kind", "kendall-tau")
+		for _, p := range pts {
+			fmt.Printf("%-8s %12.4f\n", p.Kind, p.Tau)
+		}
+		return nil
+	}},
+}
+
+var (
+	which    = flag.String("exp", "all", expHelp())
+	seed     = flag.Int64("seed", 42, "simulation seed")
+	format   = flag.String("format", "table", "output format: table|csv")
+	jobs     = flag.String("jobs", "1,2,4,8,16", "conc: comma-separated K values (concurrent jobs per point)")
+	n        = flag.Int("n", 32, "conc/scale/churn: processes per job")
+	r        = flag.Int("r", 1, "conc/scale: replication degree per job")
+	gridSpec = flag.String("grid", "grid5000", "topology: grid5000 or synth:S=12,H=400,C=2,seed=7,rttmin=5ms,rttmax=25ms")
+	alloc    = flag.String("a", "all", "conc/scale/churn: strategies, \"all\" or comma-separated names from: "+strings.Join(core.Names(), "|"))
+	hosts    = flag.String("hosts", "", "scale: comma-separated world sizes (hosts); default: the -grid spec's own size")
+	sn       = flag.String("sn", "", "supernode-federation width K; scale takes a comma-separated axis (e.g. 1,4,16), conc/churn a single value; default: the -grid spec's sn value (1)")
+	workers  = flag.Int("workers", exp.DefaultWorkers(), "pool width for fig4, conc, scale and churn sweeps (independent worlds)")
+	shards   = flag.Int("shards", 1, "conservative-parallel shard count per world: partition sites onto N event loops synchronized by lookahead barriers (1 = sequential; output is byte-identical for any value)")
+	// The duration flags all accept bare seconds ("600") or Go
 	// durations ("10m"), matching the -mtbf axis syntax.
-	mtbf := flag.String("mtbf", "", "churn: comma-separated per-host MTBF axis (seconds or Go durations, e.g. 600,1800 or 10m,30m)")
-	mttr := flag.String("mttr", "60", "churn: mean per-host repair time (seconds or Go duration)")
-	rAxis := flag.String("R", "1,2", "churn: comma-separated replication-degree axis")
-	cjobs := flag.Int("cjobs", 8, "churn: jobs per sweep point")
-	dur := flag.Float64("dur", 120, "churn: per-job spin duration (virtual seconds, the failure-free baseline)")
-	detect := flag.String("detect", "10", "churn: failure-detector probe period (seconds or Go duration)")
-	dist := flag.String("dist", "exp", "churn: lifetime distribution, exp|weibull")
-	shape := flag.Float64("shape", 0.7, "churn: Weibull shape (with -dist weibull)")
-	siteMTBF := flag.String("sitemtbf", "0", "churn: mean time between correlated whole-site outages (seconds or Go duration; 0 disables)")
-	siteMTTR := flag.String("sitemttr", "0", "churn: mean whole-site outage duration (seconds or Go duration; default sitemtbf/20)")
-	arrival := flag.String("arrival", "poisson:rate=0.01", "open: arrival process, poisson:rate=R or diurnal:peak=P,trough=T[,period=D,maintevery=D,maintdur=D]")
-	tenants := flag.Int("tenants", 1, "open: submitting tenants")
-	skew := flag.Float64("skew", 0, "open: Zipf skew of the tenants' rate shares (0 = equal)")
-	priLevels := flag.Int("prilevels", 1, "open: admission priority levels stratified over the tenants")
-	duration := flag.String("duration", "", "open: arrival horizon (seconds or Go duration, required)")
-	warmup := flag.String("warmup", "auto", "open: leading transient excluded from statistics (auto = duration/10, 0 = none)")
-	maxSubs := flag.Int("maxsubs", 0, "open: cap the submission trace per point (0 = uncapped)")
-	nMin := flag.Int("nmin", 0, "open: minimum processes per submission (0 = workload default)")
-	nMax := flag.Int("nmax", 0, "open: maximum processes per submission (0 = workload default)")
-	durMin := flag.Float64("durmin", 0, "open: minimum job service time (virtual seconds; 0 = workload default)")
-	durMax := flag.Float64("durmax", 0, "open: maximum job service time (virtual seconds; 0 = workload default)")
-	quota := flag.Float64("quota", 0, "open: per-tenant quota accrual rate (slot-seconds per virtual second; 0 disables quotas)")
-	quotaBurst := flag.Float64("quotaburst", 0, "open: quota bucket cap (slot-seconds; 0 = one hour at -quota)")
-	preempt := flag.Bool("preempt", false, "open: let starved in-budget higher-priority jobs evict over-budget lower-priority running jobs")
-	inflight := flag.Int("inflight", 0, "open: scheduler worker pool — max concurrent in-flight jobs per point (0 = default 8; size to arrival-rate × service time or the backlog grows)")
-	deadline := flag.String("deadline", "", "open: comma-separated per-priority-class deadline factors, highest class first (deadline = arrival + factor×service; last entry reused; empty disables SLO tracking)")
-	faultsSpec := flag.String("faults", "", "nemesis: fault-model spec (part:mtbf=10m,split=1;link:loss=0.1,mult=2;gray:frac=0.1,mtbf=5m;dup:p=0.01); -loss/-partdur override its link-loss and partition-duration values as swept axes")
-	lossAxis := flag.String("loss", "", "nemesis: comma-separated cross-site drop-probability axis (e.g. 0,0.1,0.3)")
-	partDur := flag.String("partdur", "", "nemesis: comma-separated mean partition duration axis (seconds or Go durations; 0 = no partitions at that point)")
-	rpcRetries := flag.Int("rpcretries", 2, "nemesis: RPC robustness-layer retry budget per exchange (-1 disables the layer)")
-	breaker := flag.Int("breaker", 0, "nemesis: per-supernode circuit-breaker threshold (consecutive failures; 0 disables)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file (pprof format)")
-	memProfile := flag.String("memprofile", "", "write an allocation profile to this file on exit (pprof format)")
+	mtbf       = flag.String("mtbf", "", "churn: comma-separated per-host MTBF axis (seconds or Go durations, e.g. 600,1800 or 10m,30m)")
+	mttr       = flag.String("mttr", "60", "churn: mean per-host repair time (seconds or Go duration)")
+	rAxis      = flag.String("R", "1,2", "churn: comma-separated replication-degree axis")
+	cjobs      = flag.Int("cjobs", 8, "churn: jobs per sweep point")
+	dur        = flag.Float64("dur", 120, "churn: per-job spin duration (virtual seconds, the failure-free baseline)")
+	detect     = flag.String("detect", "10", "churn: failure-detector probe period (seconds or Go duration)")
+	dist       = flag.String("dist", "exp", "churn: lifetime distribution, exp|weibull")
+	shape      = flag.Float64("shape", 0.7, "churn: Weibull shape (with -dist weibull)")
+	siteMTBF   = flag.String("sitemtbf", "0", "churn: mean time between correlated whole-site outages (seconds or Go duration; 0 disables)")
+	siteMTTR   = flag.String("sitemttr", "0", "churn: mean whole-site outage duration (seconds or Go duration; default sitemtbf/20)")
+	arrival    = flag.String("arrival", "poisson:rate=0.01", "open: arrival process, poisson:rate=R or diurnal:peak=P,trough=T[,period=D,maintevery=D,maintdur=D]")
+	tenants    = flag.Int("tenants", 1, "open: submitting tenants")
+	skew       = flag.Float64("skew", 0, "open: Zipf skew of the tenants' rate shares (0 = equal)")
+	priLevels  = flag.Int("prilevels", 1, "open: admission priority levels stratified over the tenants")
+	duration   = flag.String("duration", "", "open: arrival horizon (seconds or Go duration, required)")
+	warmup     = flag.String("warmup", "auto", "open: leading transient excluded from statistics (auto = duration/10, 0 = none)")
+	maxSubs    = flag.Int("maxsubs", 0, "open: cap the submission trace per point (0 = uncapped)")
+	nMin       = flag.Int("nmin", 0, "open: minimum processes per submission (0 = workload default)")
+	nMax       = flag.Int("nmax", 0, "open: maximum processes per submission (0 = workload default)")
+	durMin     = flag.Float64("durmin", 0, "open: minimum job service time (virtual seconds; 0 = workload default)")
+	durMax     = flag.Float64("durmax", 0, "open: maximum job service time (virtual seconds; 0 = workload default)")
+	quota      = flag.Float64("quota", 0, "open: per-tenant quota accrual rate (slot-seconds per virtual second; 0 disables quotas)")
+	quotaBurst = flag.Float64("quotaburst", 0, "open: quota bucket cap (slot-seconds; 0 = one hour at -quota)")
+	preempt    = flag.Bool("preempt", false, "open: let starved in-budget higher-priority jobs evict over-budget lower-priority running jobs")
+	inflight   = flag.Int("inflight", 0, "open: scheduler worker pool — max concurrent in-flight jobs per point (0 = default 8; size to arrival-rate × service time or the backlog grows)")
+	deadline   = flag.String("deadline", "", "open: comma-separated per-priority-class deadline factors, highest class first (deadline = arrival + factor×service; last entry reused; empty disables SLO tracking)")
+	faultsSpec = flag.String("faults", "", "nemesis: fault-model spec (part:mtbf=10m,split=1;link:loss=0.1,mult=2;gray:frac=0.1,mtbf=5m;dup:p=0.01); -loss/-partdur override its link-loss and partition-duration values as swept axes")
+	lossAxis   = flag.String("loss", "", "nemesis: comma-separated cross-site drop-probability axis (e.g. 0,0.1,0.3)")
+	partDur    = flag.String("partdur", "", "nemesis: comma-separated mean partition duration axis (seconds or Go durations; 0 = no partitions at that point)")
+	rpcRetries = flag.Int("rpcretries", 2, "nemesis: RPC robustness-layer retry budget per exchange (-1 disables the layer)")
+	breaker    = flag.Int("breaker", 0, "nemesis: per-supernode circuit-breaker threshold (consecutive failures; 0 disables)")
+	cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file (pprof format)")
+	memProfile = flag.String("memprofile", "", "write an allocation profile to this file on exit (pprof format)")
+)
+
+// expHelp lists every experiment for the -exp usage text.
+func expHelp() string {
+	var b strings.Builder
+	b.WriteString("experiment, one of:")
+	for _, x := range experiments {
+		fmt.Fprintf(&b, "\n  %-10s %s", x.name, x.help)
+		if x.kind == figure {
+			b.WriteString(" (in all)")
+		}
+	}
+	fmt.Fprintf(&b, "\n  %-10s every experiment marked (in all)", "all")
+	return b.String()
+}
+
+func main() {
 	flag.Parse()
-	csv := *format == "csv"
 
 	// Profiling hooks: hot-path hunts run the very binary that produces
 	// the figures instead of an ad-hoc test rig, so the profile covers
 	// world boot, the sweep pool and rendering exactly as shipped.
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gridbench: -cpuprofile: %v\n", err)
-			os.Exit(2)
+		if err == nil {
+			err = pprof.StartCPUProfile(f)
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "gridbench: -cpuprofile: %v\n", err)
-			os.Exit(2)
+		if err != nil {
+			usage("-cpuprofile: %v", err)
 		}
 		defer func() {
 			pprof.StopCPUProfile()
@@ -189,446 +281,317 @@ func main() {
 		}()
 	}
 
+	var selected []experiment
+	var all, families []string
+	for _, x := range experiments {
+		all = append(all, x.name)
+		if x.kind == family {
+			families = append(families, x.name)
+		}
+		if x.name == *which || (*which == "all" && x.kind == figure) {
+			selected = append(selected, x)
+		}
+	}
+	if len(selected) == 0 {
+		usage("unknown experiment %q (try: all, %s)", *which, strings.Join(all, ", "))
+	}
 	topo, err := grid.ParseTopologySpec(*gridSpec)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "gridbench: -grid: %v\n", err)
-		os.Exit(2)
+		usage("-grid: %v", err)
 	}
 	strategies, err := parseStrategies(*alloc)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "gridbench: -a: %v\n", err)
-		os.Exit(2)
+		usage("-a: %v", err)
 	}
-	if topo.IsSynthetic() && *which != "scale" && *which != "conc" && *which != "churn" && *which != "open" && *which != "nemesis" {
-		fmt.Fprintf(os.Stderr, "gridbench: -grid %s only applies to -exp scale, conc, churn, open and nemesis; the paper figures are pinned to grid5000\n", topo)
-		os.Exit(2)
-	}
-
 	var snAxis []int
 	if *sn != "" {
-		var err error
-		if snAxis, err = parseKs(*sn); err != nil {
-			fmt.Fprintf(os.Stderr, "gridbench: -sn: %v\n", err)
-			os.Exit(2)
+		snAxis = intsFlag("sn", *sn)
+	}
+	takers := strings.Join(families[:len(families)-1], ", ") + " and " + families[len(families)-1]
+	for _, x := range selected {
+		if x.kind == family {
+			continue
 		}
-		if *which != "scale" && *which != "conc" && *which != "churn" && *which != "open" && *which != "nemesis" {
-			fmt.Fprintf(os.Stderr, "gridbench: -sn only applies to -exp scale, conc, churn, open and nemesis; the paper figures are pinned to the single supernode\n")
-			os.Exit(2)
+		if topo.IsSynthetic() {
+			usage("-grid %s only applies to -exp %s; the paper figures are pinned to grid5000", topo, takers)
 		}
-		if *which != "scale" && len(snAxis) != 1 {
-			fmt.Fprintf(os.Stderr, "gridbench: -sn: %s takes a single federation width\n", *which)
-			os.Exit(2)
+		if snAxis != nil {
+			usage("-sn only applies to -exp %s; the paper figures are pinned to the single supernode", takers)
 		}
+	}
+	// Only the scale family sweeps a federation-width axis.
+	if len(snAxis) > 1 && *which != "scale" {
+		usage("-sn: %s takes a single federation width", *which)
 	}
 
-	// The paper's figures stay pinned to the Grid5000 inventory; -grid
-	// steers the beyond-the-paper families (conc, scale).
-	opts := exp.DefaultOptions(*seed)
-	opts.Shards = *shards
-	topoOpts := opts
-	topoOpts.Topology = topo
+	e := env{csv: *format == "csv", topo: topo, strategies: strategies, snAxis: snAxis}
+	e.opts = exp.DefaultOptions(*seed)
+	e.opts.Shards = *shards
+	e.topoOpts = e.opts
+	e.topoOpts.Topology = topo
 	if len(snAxis) == 1 {
-		topoOpts.Supernodes = snAxis[0]
+		e.topoOpts.Supernodes = snAxis[0]
 	}
-	run := func(name string, fn func() error) {
+	for _, x := range selected {
 		start := time.Now()
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "gridbench: %s: %v\n", name, err)
+		if err := x.run(e); err != nil {
+			fmt.Fprintf(os.Stderr, "gridbench: %s: %v\n", x.name, err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "[%s done in %.1fs wall]\n\n", name, time.Since(start).Seconds())
-	}
-
-	all := *which == "all"
-	if all || *which == "table1" {
-		run("table1", func() error {
-			if csv {
-				fmt.Print(exp.Table1CSV())
-			} else {
-				fmt.Print(exp.RenderTable1())
-			}
-			return nil
-		})
-	}
-	if all || *which == "fig2" {
-		run("fig2", func() error {
-			pts, err := exp.Fig2(opts, nil)
-			if err != nil {
-				return err
-			}
-			if csv {
-				fmt.Print(exp.SitePointsCSV(pts))
-			} else {
-				fmt.Print(exp.RenderSitePoints("Figure 2: concentrate — allocated hosts/cores per site", pts))
-			}
-			return nil
-		})
-	}
-	if all || *which == "fig3" {
-		run("fig3", func() error {
-			pts, err := exp.Fig3(opts, nil)
-			if err != nil {
-				return err
-			}
-			if csv {
-				fmt.Print(exp.SitePointsCSV(pts))
-			} else {
-				fmt.Print(exp.RenderSitePoints("Figure 3: spread — allocated hosts/cores per site", pts))
-			}
-			return nil
-		})
-	}
-	if all || *which == "fig4ep" {
-		run("fig4ep", func() error {
-			pts, err := exp.Fig4EP(opts, nil, *workers)
-			if err != nil {
-				return err
-			}
-			if csv {
-				fmt.Print(exp.TimePointsCSV(pts))
-			} else {
-				fmt.Print(exp.RenderTimePoints("Figure 4 (left): EP CLASS B total time", pts))
-			}
-			return nil
-		})
-	}
-	if all || *which == "fig4is" {
-		run("fig4is", func() error {
-			pts, err := exp.Fig4IS(opts, nil, *workers)
-			if err != nil {
-				return err
-			}
-			if csv {
-				fmt.Print(exp.TimePointsCSV(pts))
-			} else {
-				fmt.Print(exp.RenderTimePoints("Figure 4 (right): IS CLASS B total time", pts))
-			}
-			return nil
-		})
-	}
-	if *which == "conc" {
-		ks, err := parseKs(*jobs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gridbench: -jobs: %v\n", err)
-			os.Exit(2)
-		}
-		cfg := exp.ConcurrentConfig{N: *n, R: *r}
-		for _, strategy := range strategies {
-			strategy := strategy
-			run("conc/"+strategy.String(), func() error {
-				pts, err := exp.ConcurrentSweep(topoOpts, strategy, ks, cfg, *workers)
-				if err != nil {
-					return err
-				}
-				if csv {
-					fmt.Print(exp.ConcurrentPointsCSV(pts))
-				} else {
-					fmt.Print(exp.RenderConcurrentPoints(
-						fmt.Sprintf("Concurrent jobs — %s, n=%d r=%d", strategy, *n, *r), pts))
-				}
-				return nil
-			})
-		}
-		return
-	}
-	if *which == "scale" {
-		var hostCounts []int
-		if *hosts != "" {
-			var err error
-			if hostCounts, err = parseKs(*hosts); err != nil {
-				fmt.Fprintf(os.Stderr, "gridbench: -hosts: %v\n", err)
-				os.Exit(2)
-			}
-		}
-		run("scale", func() error {
-			pts, err := exp.ScaleSweep(opts, exp.ScaleConfig{
-				Base:       topo,
-				Strategies: strategies,
-				HostCounts: hostCounts,
-				Supernodes: snAxis,
-				N:          *n,
-				R:          *r,
-			}, *workers)
-			if err != nil {
-				return err
-			}
-			federated := false
-			for _, p := range pts {
-				if p.SN > 1 {
-					federated = true
-				}
-			}
-			switch {
-			case csv && (federated || len(snAxis) > 1):
-				fmt.Print(exp.FederationPointsCSV(pts))
-			case csv:
-				fmt.Print(exp.ScalePointsCSV(pts))
-			default:
-				fmt.Print(exp.RenderScalePoints(
-					fmt.Sprintf("Scale sweep — %s, n=%d r=%d", topo, *n, *r), pts))
-			}
-			return nil
-		})
-		return
-	}
-	if *which == "churn" {
-		mtbfs, err := parseDurations(*mtbf)
-		if err != nil || len(mtbfs) == 0 {
-			fmt.Fprintf(os.Stderr, "gridbench: -mtbf: need a comma-separated axis like 600,1800,3600 (%v)\n", err)
-			os.Exit(2)
-		}
-		rs, err := parseKs(*rAxis)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gridbench: -R: %v\n", err)
-			os.Exit(2)
-		}
-		distKind, err := churn.ParseDistKind(*dist)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gridbench: -dist: %v\n", err)
-			os.Exit(2)
-		}
-		durFlag := func(name, v string) time.Duration {
-			d, err := parseDuration1(v)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "gridbench: -%s: %v\n", name, err)
-				os.Exit(2)
-			}
-			return d
-		}
-		mttrD := durFlag("mttr", *mttr)
-		detectD := durFlag("detect", *detect)
-		siteMTBFD := durFlag("sitemtbf", *siteMTBF)
-		siteMTTRD := durFlag("sitemttr", *siteMTTR)
-		run("churn", func() error {
-			pts, err := exp.ChurnSweep(topoOpts, exp.ChurnConfig{
-				Base:         topo,
-				Strategies:   strategies,
-				MTBFs:        mtbfs,
-				Rs:           rs,
-				N:            *n,
-				Jobs:         *cjobs,
-				JobSeconds:   *dur,
-				MTTR:         mttrD,
-				Dist:         distKind,
-				WeibullShape: *shape,
-				SiteMTBF:     siteMTBFD,
-				SiteMTTR:     siteMTTRD,
-				Detect:       detectD,
-			}, *workers)
-			if err != nil {
-				return err
-			}
-			if csv {
-				fmt.Print(exp.ChurnPointsCSV(pts))
-			} else {
-				fmt.Print(exp.RenderChurnPoints(
-					fmt.Sprintf("Churn sweep — %s, n=%d, %d jobs/point, %gs jobs, mttr=%s",
-						topo, *n, *cjobs, *dur, mttrD), pts))
-			}
-			return nil
-		})
-		return
-	}
-	if *which == "open" {
-		spec, err := workload.ParseArrivalSpec(*arrival)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gridbench: -arrival: %v\n", err)
-			os.Exit(2)
-		}
-		if *duration == "" {
-			fmt.Fprintf(os.Stderr, "gridbench: -exp open needs -duration (e.g. -duration 2h)\n")
-			os.Exit(2)
-		}
-		durFlag := func(name, v string) time.Duration {
-			d, err := parseDuration1(v)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "gridbench: -%s: %v\n", name, err)
-				os.Exit(2)
-			}
-			return d
-		}
-		durationD := durFlag("duration", *duration)
-		// "auto" keeps the duration/10 transient cut; an explicit value —
-		// including 0 — means exactly that value.
-		warmupD := exp.WarmupAuto
-		if *warmup != "auto" {
-			warmupD = durFlag("warmup", *warmup)
-		}
-		var deadlines []float64
-		if *deadline != "" {
-			if deadlines, err = parseFloats(*deadline); err != nil {
-				fmt.Fprintf(os.Stderr, "gridbench: -deadline: %v\n", err)
-				os.Exit(2)
-			}
-		}
-		cfg := exp.OpenConfig{
-			Base:            topo,
-			Strategies:      strategies,
-			Arrival:         spec,
-			Tenants:         *tenants,
-			TenantSkew:      *skew,
-			PriorityLevels:  *priLevels,
-			Duration:        durationD,
-			Warmup:          warmupD,
-			R:               *r,
-			MaxSubmissions:  *maxSubs,
-			Workers:         *inflight,
-			NMin:            *nMin,
-			NMax:            *nMax,
-			DurMin:          *durMin,
-			DurMax:          *durMax,
-			QuotaRate:       *quota,
-			QuotaBurst:      *quotaBurst,
-			Preempt:         *preempt,
-			DeadlineFactors: deadlines,
-		}
-		// A single -mtbf value composes host churn with the open workload.
-		if *mtbf != "" {
-			mtbfD := durFlag("mtbf", *mtbf)
-			distKind, err := churn.ParseDistKind(*dist)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "gridbench: -dist: %v\n", err)
-				os.Exit(2)
-			}
-			cfg.MTBF = mtbfD
-			cfg.MTTR = durFlag("mttr", *mttr)
-			cfg.Dist = distKind
-			cfg.WeibullShape = *shape
-			cfg.SiteMTBF = durFlag("sitemtbf", *siteMTBF)
-			cfg.SiteMTTR = durFlag("sitemttr", *siteMTTR)
-			cfg.Detect = durFlag("detect", *detect)
-		}
-		run("open", func() error {
-			pts, err := exp.OpenSweep(topoOpts, cfg, *workers)
-			if err != nil {
-				return err
-			}
-			if csv {
-				fmt.Print(exp.OpenPointsCSV(pts))
-			} else {
-				fmt.Print(exp.RenderOpenPoints(
-					fmt.Sprintf("Open-system steady state — %s, %s, %d tenants, %v horizon",
-						topo, spec, *tenants, durationD), pts))
-			}
-			return nil
-		})
-		return
-	}
-	if *which == "nemesis" {
-		fc, err := faults.ParseFaultSpec(*faultsSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gridbench: -faults: %v\n", err)
-			os.Exit(2)
-		}
-		var losses []float64
-		if *lossAxis != "" {
-			if losses, err = parseFloats(*lossAxis); err != nil {
-				fmt.Fprintf(os.Stderr, "gridbench: -loss: %v\n", err)
-				os.Exit(2)
-			}
-		} else if fc.Loss > 0 {
-			losses = []float64{fc.Loss}
-		}
-		var partDurs []time.Duration
-		if *partDur != "" {
-			if partDurs, err = parseDurations(*partDur); err != nil {
-				fmt.Fprintf(os.Stderr, "gridbench: -partdur: %v\n", err)
-				os.Exit(2)
-			}
-		} else if fc.PartMTBF > 0 {
-			partDurs = []time.Duration{fc.PartMTTR}
-		}
-		durFlag := func(name, v string) time.Duration {
-			d, err := parseDuration1(v)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "gridbench: -%s: %v\n", name, err)
-				os.Exit(2)
-			}
-			return d
-		}
-		cfg := exp.NemesisConfig{
-			Base:             topo,
-			Strategy:         strategies[0],
-			Losses:           losses,
-			PartDurs:         partDurs,
-			LatMult:          fc.LatMult,
-			Dup:              fc.DupProb,
-			DupDelay:         fc.DupDelay,
-			GrayFrac:         fc.GrayFrac,
-			GrayMTBF:         fc.GrayMTBF,
-			GrayMTTR:         fc.GrayMTTR,
-			GrayDrop:         fc.GrayDrop,
-			GraySlow:         fc.GraySlow,
-			N:                *n,
-			R:                *r,
-			Jobs:             *cjobs,
-			JobSeconds:       *dur,
-			Detect:           durFlag("detect", *detect),
-			RPCRetries:       *rpcRetries,
-			BreakerThreshold: *breaker,
-		}
-		if fc.PartMTBF > 0 {
-			cfg.PartMTBF = fc.PartMTBF
-			cfg.NoSplit = !fc.Split
-		}
-		// A single -mtbf value composes host churn, as in -exp open.
-		if *mtbf != "" {
-			cfg.MTBF = durFlag("mtbf", *mtbf)
-			cfg.MTTR = durFlag("mttr", *mttr)
-		}
-		run("nemesis", func() error {
-			pts, err := exp.NemesisSweep(topoOpts, cfg, *workers)
-			if err != nil {
-				return err
-			}
-			if csv {
-				fmt.Print(exp.NemesisPointsCSV(pts))
-				if len(pts) > 0 && pts[0].SN > 1 {
-					fmt.Println()
-					fmt.Print(exp.NemesisFederationCSV(pts))
-				}
-			} else {
-				fmt.Print(exp.RenderNemesisPoints(
-					fmt.Sprintf("Network nemesis — %s, n=%d r=%d, %d jobs/point, %gs jobs",
-						topo, *n, *r, *cjobs, *dur), pts))
-			}
-			return nil
-		})
-		return
-	}
-	if *which == "estimators" {
-		run("estimators", func() error {
-			pts, err := exp.EstimatorStudy(opts, nil, 4)
-			if err != nil {
-				return err
-			}
-			fmt.Println("Estimator study: booking-order quality after 4 probe rounds")
-			fmt.Printf("%-8s %12s\n", "kind", "kendall-tau")
-			for _, p := range pts {
-				fmt.Printf("%-8s %12.4f\n", p.Kind, p.Tau)
-			}
-			return nil
-		})
-		return
-	}
-	if !all && *which != "table1" && *which != "fig2" && *which != "fig3" &&
-		*which != "fig4ep" && *which != "fig4is" {
-		fmt.Fprintf(os.Stderr, "gridbench: unknown experiment %q (try also: conc, scale, churn, open, nemesis, estimators)\n", *which)
-		os.Exit(2)
+		fmt.Fprintf(os.Stderr, "[%s done in %.1fs wall]\n\n", x.name, time.Since(start).Seconds())
 	}
 }
 
-// parseDuration1 parses one duration value; bare numbers are seconds
-// ("600"), Go durations work too ("10m").
-func parseDuration1(s string) (time.Duration, error) {
-	out, err := parseDurations(s)
+// emit prints a finished sweep as CSV or as a titled table.
+func emit[P any](e env, pts []P, err error, toCSV func([]P) string, render func(string, []P) string, title string) error {
 	if err != nil {
-		return 0, err
+		return err
 	}
-	if len(out) != 1 {
-		return 0, fmt.Errorf("want one duration, got %q", s)
+	if e.csv {
+		fmt.Print(toCSV(pts))
+	} else {
+		fmt.Print(render(title, pts))
 	}
-	return out[0], nil
+	return nil
+}
+
+func runConc(e env) error {
+	ks := intsFlag("jobs", *jobs)
+	for _, strategy := range e.strategies {
+		pts, err := exp.ConcurrentSweep(e.topoOpts, strategy, ks, exp.ConcurrentConfig{N: *n, R: *r}, *workers)
+		title := fmt.Sprintf("Concurrent jobs — %s, n=%d r=%d", strategy, *n, *r)
+		if err := emit(e, pts, err, exp.ConcurrentPointsCSV, exp.RenderConcurrentPoints, title); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func runScale(e env) error {
+	var hostCounts []int
+	if *hosts != "" {
+		hostCounts = intsFlag("hosts", *hosts)
+	}
+	pts, err := exp.ScaleSweep(e.opts, exp.ScaleConfig{
+		Base:       e.topo,
+		Strategies: e.strategies,
+		HostCounts: hostCounts,
+		Supernodes: e.snAxis,
+		N:          *n,
+		R:          *r,
+	}, *workers)
+	toCSV := exp.ScalePointsCSV
+	if len(e.snAxis) > 1 || slices.ContainsFunc(pts, func(p exp.ScalePoint) bool { return p.SN > 1 }) {
+		toCSV = exp.FederationPointsCSV
+	}
+	return emit(e, pts, err, toCSV, exp.RenderScalePoints,
+		fmt.Sprintf("Scale sweep — %s, n=%d r=%d", e.topo, *n, *r))
+}
+
+func runChurn(e env) error {
+	mtbfs, err := parseDurations(*mtbf)
+	if err != nil || len(mtbfs) == 0 {
+		usage("-mtbf: need a comma-separated axis like 600,1800,3600 (%v)", err)
+	}
+	cfg := exp.ChurnConfig{
+		Base:         e.topo,
+		Strategies:   e.strategies,
+		MTBFs:        mtbfs,
+		Rs:           intsFlag("R", *rAxis),
+		N:            *n,
+		Jobs:         *cjobs,
+		JobSeconds:   *dur,
+		MTTR:         durFlag("mttr", *mttr),
+		Dist:         distFlag(),
+		WeibullShape: *shape,
+		SiteMTBF:     durFlag("sitemtbf", *siteMTBF),
+		SiteMTTR:     durFlag("sitemttr", *siteMTTR),
+		Detect:       durFlag("detect", *detect),
+	}
+	pts, err := exp.ChurnSweep(e.topoOpts, cfg, *workers)
+	return emit(e, pts, err, exp.ChurnPointsCSV, exp.RenderChurnPoints,
+		fmt.Sprintf("Churn sweep — %s, n=%d, %d jobs/point, %gs jobs, mttr=%s",
+			e.topo, *n, *cjobs, *dur, cfg.MTTR))
+}
+
+func runOpen(e env) error {
+	spec, err := workload.ParseArrivalSpec(*arrival)
+	if err != nil {
+		usage("-arrival: %v", err)
+	}
+	if *duration == "" {
+		usage("-exp open needs -duration (e.g. -duration 2h)")
+	}
+	cfg := exp.OpenConfig{
+		Base:           e.topo,
+		Strategies:     e.strategies,
+		Arrival:        spec,
+		Tenants:        *tenants,
+		TenantSkew:     *skew,
+		PriorityLevels: *priLevels,
+		Duration:       durFlag("duration", *duration),
+		// "auto" keeps the duration/10 transient cut; an explicit value —
+		// including 0 — means exactly that value.
+		Warmup:         exp.WarmupAuto,
+		R:              *r,
+		MaxSubmissions: *maxSubs,
+		Workers:        *inflight,
+		NMin:           *nMin,
+		NMax:           *nMax,
+		DurMin:         *durMin,
+		DurMax:         *durMax,
+		QuotaRate:      *quota,
+		QuotaBurst:     *quotaBurst,
+		Preempt:        *preempt,
+	}
+	if *warmup != "auto" {
+		cfg.Warmup = durFlag("warmup", *warmup)
+	}
+	if *deadline != "" {
+		cfg.DeadlineFactors = floatsFlag("deadline", *deadline)
+	}
+	// A single -mtbf value composes host churn with the open workload.
+	if *mtbf != "" {
+		cfg.MTBF = durFlag("mtbf", *mtbf)
+		cfg.Dist = distFlag()
+		cfg.MTTR = durFlag("mttr", *mttr)
+		cfg.WeibullShape = *shape
+		cfg.SiteMTBF = durFlag("sitemtbf", *siteMTBF)
+		cfg.SiteMTTR = durFlag("sitemttr", *siteMTTR)
+		cfg.Detect = durFlag("detect", *detect)
+	}
+	pts, err := exp.OpenSweep(e.topoOpts, cfg, *workers)
+	return emit(e, pts, err, exp.OpenPointsCSV, exp.RenderOpenPoints,
+		fmt.Sprintf("Open-system steady state — %s, %s, %d tenants, %v horizon",
+			e.topo, spec, *tenants, cfg.Duration))
+}
+
+func runNemesis(e env) error {
+	fc, err := faults.ParseFaultSpec(*faultsSpec)
+	if err != nil {
+		usage("-faults: %v", err)
+	}
+	cfg := exp.NemesisConfig{
+		Base:             e.topo,
+		Strategy:         e.strategies[0],
+		LatMult:          fc.LatMult,
+		Dup:              fc.DupProb,
+		DupDelay:         fc.DupDelay,
+		GrayFrac:         fc.GrayFrac,
+		GrayMTBF:         fc.GrayMTBF,
+		GrayMTTR:         fc.GrayMTTR,
+		GrayDrop:         fc.GrayDrop,
+		GraySlow:         fc.GraySlow,
+		N:                *n,
+		R:                *r,
+		Jobs:             *cjobs,
+		JobSeconds:       *dur,
+		Detect:           durFlag("detect", *detect),
+		RPCRetries:       *rpcRetries,
+		BreakerThreshold: *breaker,
+	}
+	if *lossAxis != "" {
+		cfg.Losses = floatsFlag("loss", *lossAxis)
+	} else if fc.Loss > 0 {
+		cfg.Losses = []float64{fc.Loss}
+	}
+	if *partDur != "" {
+		if cfg.PartDurs, err = parseDurations(*partDur); err != nil {
+			usage("-partdur: %v", err)
+		}
+	} else if fc.PartMTBF > 0 {
+		cfg.PartDurs = []time.Duration{fc.PartMTTR}
+	}
+	if fc.PartMTBF > 0 {
+		cfg.PartMTBF = fc.PartMTBF
+		cfg.NoSplit = !fc.Split
+	}
+	// A single -mtbf value composes host churn, as in -exp open.
+	if *mtbf != "" {
+		cfg.MTBF = durFlag("mtbf", *mtbf)
+		cfg.MTTR = durFlag("mttr", *mttr)
+	}
+	pts, err := exp.NemesisSweep(e.topoOpts, cfg, *workers)
+	toCSV := func(pts []exp.NemesisPoint) string {
+		out := exp.NemesisPointsCSV(pts)
+		if len(pts) > 0 && pts[0].SN > 1 {
+			out += "\n" + exp.NemesisFederationCSV(pts)
+		}
+		return out
+	}
+	return emit(e, pts, err, toCSV, exp.RenderNemesisPoints,
+		fmt.Sprintf("Network nemesis — %s, n=%d r=%d, %d jobs/point, %gs jobs",
+			e.topo, *n, *r, *cjobs, *dur))
+}
+
+// usage reports a bad invocation and exits 2.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "gridbench: "+format+"\n", args...)
+	os.Exit(2)
+}
+
+// durFlag parses one duration value or exits 2; bare numbers are
+// seconds ("600"), Go durations work too ("10m").
+func durFlag(name, v string) time.Duration {
+	ds, err := parseDurations(v)
+	if err == nil && len(ds) != 1 {
+		err = fmt.Errorf("want one duration, got %q", v)
+	}
+	if err != nil {
+		usage("-%s: %v", name, err)
+	}
+	return ds[0]
+}
+
+// distFlag parses -dist or exits 2.
+func distFlag() churn.DistKind {
+	d, err := churn.ParseDistKind(*dist)
+	if err != nil {
+		usage("-dist: %v", err)
+	}
+	return d
+}
+
+// intsFlag parses a comma-separated axis of positive integers
+// ("1,2,4,8") or exits 2.
+func intsFlag(name, s string) []int {
+	var ks []int
+	for _, f := range strings.Split(s, ",") {
+		f = strings.TrimSpace(f)
+		if f == "" {
+			continue
+		}
+		k, err := strconv.Atoi(f)
+		if err != nil || k < 1 {
+			usage("-%s: bad K value %q", name, f)
+		}
+		ks = append(ks, k)
+	}
+	if len(ks) == 0 {
+		usage("-%s: no K values", name)
+	}
+	return ks
+}
+
+// floatsFlag parses a comma-separated axis of non-negative values
+// ("0,0.1,0.3") or exits 2.
+func floatsFlag(name, s string) []float64 {
+	var out []float64
+	for _, f := range strings.Split(s, ",") {
+		f = strings.TrimSpace(f)
+		if f == "" {
+			continue
+		}
+		v, err := strconv.ParseFloat(f, 64)
+		if err != nil || v < 0 {
+			usage("-%s: bad value %q", name, f)
+		}
+		out = append(out, v)
+	}
+	if len(out) == 0 {
+		usage("-%s: no values", name)
+	}
+	return out
 }
 
 // parseDurations parses a comma-separated duration axis; bare numbers
@@ -677,44 +640,4 @@ func parseStrategies(s string) ([]core.Strategy, error) {
 		return nil, fmt.Errorf("no strategies")
 	}
 	return out, nil
-}
-
-// parseFloats parses the -loss axis ("0,0.1,0.3").
-func parseFloats(s string) ([]float64, error) {
-	var out []float64
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(f, 64)
-		if err != nil || v < 0 {
-			return nil, fmt.Errorf("bad value %q", f)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no values")
-	}
-	return out, nil
-}
-
-// parseKs parses the -jobs axis ("1,2,4,8").
-func parseKs(s string) ([]int, error) {
-	var ks []int
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		k, err := strconv.Atoi(f)
-		if err != nil || k < 1 {
-			return nil, fmt.Errorf("bad K value %q", f)
-		}
-		ks = append(ks, k)
-	}
-	if len(ks) == 0 {
-		return nil, fmt.Errorf("no K values")
-	}
-	return ks, nil
 }

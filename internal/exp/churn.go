@@ -3,8 +3,6 @@ package exp
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"math"
 	"strings"
 	"time"
 
@@ -91,17 +89,10 @@ type ChurnConfig struct {
 	// SiteMTBF and SiteMTTR enable correlated whole-site outages
 	// (0 disables).
 	SiteMTBF, SiteMTTR time.Duration
-	// Workers bounds the scheduler's in-flight jobs per point (default
-	// 2, keeping capacity pressure low so the measurement isolates
-	// survivability from saturation).
-	Workers int
 	// Retries is the per-job re-book budget (default 4).
 	Retries int
 	// Detect is the failure-detector probe period (default 10s).
 	Detect time.Duration
-	// Timeout bounds each submission attempt (default 3×JobSeconds
-	// plus two minutes).
-	Timeout time.Duration
 }
 
 func (c *ChurnConfig) fillDefaults() error {
@@ -136,32 +127,13 @@ func (c *ChurnConfig) fillDefaults() error {
 	if c.MTTR <= 0 {
 		c.MTTR = time.Minute
 	}
-	if c.Workers <= 0 {
-		c.Workers = 2
-	}
 	if c.Retries <= 0 {
 		c.Retries = 4
 	}
 	if c.Detect <= 0 {
 		c.Detect = 10 * time.Second
 	}
-	if c.Timeout <= 0 {
-		c.Timeout = time.Duration(3*c.JobSeconds)*time.Second + 2*time.Minute
-	}
 	return nil
-}
-
-// churnSeed derives the per-point injection seed: a pure function of
-// the (MTBF, R) coordinates, so replays and worker counts cannot move
-// it — and deliberately NOT of the strategy: the host-level failure
-// timeline is placement-independent, so every strategy compared at one
-// (MTBF, R) point faces the identical trace. Pairing the comparison
-// this way keeps cross-strategy differences attributable to policy
-// rather than trace luck.
-func churnSeed(seed int64, mtbf time.Duration, r int) int64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "churn|%d|%d", mtbf, r)
-	return seed ^ int64(h.Sum64())
 }
 
 // ChurnRetryable classifies the errors worth a re-book under churn:
@@ -185,63 +157,36 @@ func ChurnSweep(opts Options, cfg ChurnConfig, workers int) ([]ChurnPoint, error
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
-	type coord struct {
-		mtbf     time.Duration
-		r        int
-		strategy core.Strategy
-	}
-	var coords []coord
+	var coords []churnCoord
 	for _, mtbf := range cfg.MTBFs {
 		for _, r := range cfg.Rs {
 			for _, st := range cfg.Strategies {
-				coords = append(coords, coord{mtbf, r, st})
+				coords = append(coords, churnCoord{mtbf, r, st})
 			}
 		}
 	}
-	out := make([]ChurnPoint, len(coords))
-	err := runPool(len(coords), workers, func(i int) error {
-		c := coords[i]
-		pt, err := churnAt(opts, cfg, c.mtbf, c.r, c.strategy)
-		if err != nil {
-			return fmt.Errorf("mtbf=%v r=%d %s: %w", c.mtbf, c.r, c.strategy, err)
-		}
-		out[i] = pt
-		return nil
+	return sweep(coords, workers, func(c churnCoord) ([]ChurnPoint, error) {
+		pt, err := churnAt(opts, cfg, c)
+		return []ChurnPoint{pt}, err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
+type churnCoord struct {
+	mtbf     time.Duration
+	r        int
+	strategy core.Strategy
+}
+
+func (c churnCoord) String() string { return fmt.Sprintf("mtbf=%v r=%d %s", c.mtbf, c.r, c.strategy) }
+
 // churnAt boots one world, injects churn, and runs the batch.
-func churnAt(opts Options, cfg ChurnConfig, mtbf time.Duration, r int, strategy core.Strategy) (ChurnPoint, error) {
+func churnAt(opts Options, cfg ChurnConfig, c churnCoord) (ChurnPoint, error) {
 	o := opts
 	o.Topology = cfg.Base
 	if cfg.Base.TotalHosts() > 1000 {
 		// Large worlds over the long churn horizon drown in membership
-		// traffic: every peer refresh and re-registration ships a
-		// host-list reply, O(world) per message and O(world²) per
-		// virtual minute summed over peers — none of which feeds the
-		// measurement. Bound the supernode's replies well above the
-		// booking fan-out and slow the compute peers' refreshes (their
-		// cached lists are never consulted; the frontal's cadence is
-		// untouched). Both knobs stay caller-overridable.
-		if o.MaxPeersReturned == 0 {
-			bound := 4 * (int(math.Ceil(1.2*float64(cfg.N*r))) + 2)
-			if bound < 512 {
-				bound = 512
-			}
-			o.MaxPeersReturned = bound
-		}
-		if o.PeerRefreshInterval == 0 {
-			o.PeerRefreshInterval = time.Hour
-		}
-		if o.PeerCacheCap == 0 {
-			// As in scaleAt: unread compute-peer boot snapshots dominate
-			// per-host retention on large worlds.
-			o.PeerCacheCap = 2
-		}
+		// traffic; see Options.boundMembership.
+		o.boundMembership(cfg.N * c.r)
 	}
 	w := NewWorld(o)
 	defer w.Close()
@@ -249,76 +194,137 @@ func churnAt(opts Options, cfg ChurnConfig, mtbf time.Duration, r int, strategy 
 		return ChurnPoint{}, err
 	}
 
-	budget := runJobsBudget(cfg.Jobs) // RunJobs' pump budget, in virtual seconds
+	batch := spinBatch{
+		Strategy: c.strategy,
+		N:        cfg.N, R: c.r, Jobs: cfg.Jobs,
+		Seconds: cfg.JobSeconds,
+		Detect:  cfg.Detect,
+		Retries: cfg.Retries,
+	}
 	driver := w.StartChurn(churn.Config{
-		Seed:         churnSeed(opts.Seed, mtbf, r),
-		MTBF:         mtbf,
+		// The injection seed is a pure function of the (MTBF, R)
+		// coordinates — and deliberately NOT of the strategy: the
+		// host-level failure timeline is placement-independent, so every
+		// strategy compared at one (MTBF, R) point faces the identical
+		// trace, and cross-strategy differences stay attributable to
+		// policy rather than trace luck.
+		Seed:         subSeed(opts.Seed, "churn|%d|%d", c.mtbf, c.r),
+		MTBF:         c.mtbf,
 		MTTR:         cfg.MTTR,
 		UpDist:       cfg.Dist,
 		DownDist:     cfg.Dist,
 		WeibullShape: cfg.WeibullShape,
 		SiteMTBF:     cfg.SiteMTBF,
 		SiteMTTR:     cfg.SiteMTTR,
-		Horizon:      time.Duration(budget) * time.Second,
+		Horizon:      batch.horizon(),
 	})
-
-	spec := mpd.JobSpec{
-		Program:        "spin",
-		Args:           []string{fmt.Sprintf("%g", cfg.JobSeconds)},
-		N:              cfg.N,
-		R:              r,
-		Strategy:       strategy,
-		Timeout:        cfg.Timeout,
-		FailureDetect:  cfg.Detect,
-		ReserveRetries: 1,
-	}
-	jobs, _, err := RunJobs(w, spec, cfg.Jobs, sched.Config{
-		Workers:      cfg.Workers,
-		Retries:      cfg.Retries,
-		Backoff:      5 * time.Second,
-		Seed:         opts.Seed,
-		IsContention: ChurnRetryable,
-	})
+	b, err := batch.run(w, opts.Seed)
 	injected := driver.Stop()
 	if err != nil {
 		return ChurnPoint{}, err
 	}
-
-	pt := ChurnPoint{
-		Strategy:    strategy,
-		MTBFSeconds: mtbf.Seconds(),
+	return ChurnPoint{
+		Strategy:    c.strategy,
+		MTBFSeconds: c.mtbf.Seconds(),
 		MTTRSeconds: cfg.MTTR.Seconds(),
-		N:           cfg.N, R: r, Jobs: cfg.Jobs,
-		Hosts:            w.Grid.TotalHosts(),
+		N:           cfg.N, R: c.r, Jobs: cfg.Jobs,
+		Hosts:     w.Grid.TotalHosts(),
+		Succeeded: b.Succeeded, Failed: b.Failed, SuccessRate: b.SuccessRate,
+		MeanSeconds: b.MeanSeconds, Inflation: b.Inflation,
+		Failovers: b.Failovers, HostsLostMidRun: b.HostsLost,
+		Rebooks: b.Rebooks, WastedSlotHours: b.WastedSlotHours,
 		FailuresInjected: injected.Failures,
 		DownFraction:     injected.DownFraction(),
+	}, nil
+}
+
+// spinBatch is the closed job batch the churn and nemesis families
+// measure: Jobs identical fixed-duration spin jobs pushed through the
+// multi-job scheduler with the mid-run failure detector armed and
+// ChurnRetryable failures re-booked. Two jobs run at a time, keeping
+// capacity pressure low so the measurement isolates survivability from
+// saturation.
+type spinBatch struct {
+	Strategy   core.Strategy
+	N, R, Jobs int
+	// Seconds is each job's spin duration, the failure-free completion
+	// baseline.
+	Seconds float64
+	Detect  time.Duration
+	Retries int
+}
+
+// horizon is the batch's pump budget (RunJobs'); fault injection runs
+// that long so failures keep arriving while jobs can still be running.
+func (b spinBatch) horizon() time.Duration {
+	return time.Duration(runJobsBudget(b.Jobs)) * time.Second
+}
+
+// batchOutcome folds a spinBatch's jobs.
+type batchOutcome struct {
+	// Succeeded and Failed partition the batch by the replication-level
+	// criterion: every rank delivered through at least one replica.
+	Succeeded, Failed int
+	SuccessRate       float64
+	// MeanSeconds averages the enqueue-to-finish virtual time of
+	// succeeded jobs; Inflation divides it by the spin duration.
+	MeanSeconds, Inflation float64
+	// Failovers sums rescued ranks over succeeded jobs, HostsLost the
+	// detectors' write-offs over all final attempts, Rebooks the extra
+	// attempts beyond the first, and WastedSlotHours every errored
+	// attempt's duration times the job's process count.
+	Failovers, HostsLost, Rebooks int
+	WastedSlotHours               float64
+}
+
+// run pushes the batch through a fresh scheduler on w and folds the
+// outcomes.
+func (b spinBatch) run(w *World, seed int64) (batchOutcome, error) {
+	spec := mpd.JobSpec{
+		Program:        "spin",
+		Args:           []string{fmt.Sprintf("%g", b.Seconds)},
+		N:              b.N,
+		R:              b.R,
+		Strategy:       b.Strategy,
+		Timeout:        time.Duration(3*b.Seconds)*time.Second + 2*time.Minute,
+		FailureDetect:  b.Detect,
+		ReserveRetries: 1,
 	}
+	jobs, _, err := RunJobs(w, spec, b.Jobs, sched.Config{
+		Workers:      2,
+		Retries:      b.Retries,
+		Backoff:      5 * time.Second,
+		Seed:         seed,
+		IsContention: ChurnRetryable,
+	})
+	if err != nil {
+		return batchOutcome{}, err
+	}
+	var o batchOutcome
 	var sumSecs float64
-	procs := float64(cfg.N * r)
+	procs := float64(b.N * b.R)
 	for _, j := range jobs {
-		pt.Rebooks += j.Attempts - 1
-		pt.WastedSlotHours += j.Wasted.Hours() * procs
+		o.Rebooks += j.Attempts - 1
+		o.WastedSlotHours += j.Wasted.Hours() * procs
 		if j.Result != nil {
-			pt.HostsLostMidRun += j.Result.Failover.HostsLost
+			o.HostsLost += j.Result.Failover.HostsLost
 		}
-		// Success is the replication-level criterion: every rank
-		// delivered through at least one replica. A nil error with a
-		// rank missing (e.g. its host stayed down past the attempt
-		// deadline) is still a failed job.
+		// A nil error with a rank missing (e.g. its host stayed down
+		// past the attempt deadline) is still a failed job.
 		if j.Err != nil || j.Result.LostRanks() > 0 {
-			pt.Failed++
+			o.Failed++
 			continue
 		}
-		pt.Succeeded++
+		o.Succeeded++
 		sumSecs += j.Latency().Seconds()
-		pt.Failovers += j.Result.Failover.Failovers
+		o.Failovers += j.Result.Failover.Failovers
 	}
-	pt.SuccessRate = float64(pt.Succeeded) / float64(cfg.Jobs)
-	if pt.Succeeded > 0 {
-		pt.MeanSeconds = sumSecs / float64(pt.Succeeded)
-		pt.Inflation = pt.MeanSeconds / cfg.JobSeconds
+	o.SuccessRate = float64(o.Succeeded) / float64(b.Jobs)
+	if o.Succeeded > 0 {
+		o.MeanSeconds = sumSecs / float64(o.Succeeded)
+		o.Inflation = o.MeanSeconds / b.Seconds
 	}
-	return pt, nil
+	return o, nil
 }
 
 // ChurnPointsCSV renders a churn sweep as CSV, one row per (MTBF, R,

@@ -35,28 +35,12 @@ func churnTestConfig() ChurnConfig {
 // issue pins: a seeded churn trace — failures, failovers, and the
 // resulting CSV — must be byte-identical whatever the pool width.
 func TestChurnSweepDeterministicAcrossWorkers(t *testing.T) {
+	// Workers 2 last: a full re-run replays the same timeline too.
 	cfg := churnTestConfig()
-	opts := DefaultOptions(42)
-	sequential, err := ChurnSweep(opts, cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := ChurnSweep(opts, cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	csvSeq, csvPar := ChurnPointsCSV(sequential), ChurnPointsCSV(parallel)
-	if csvSeq != csvPar {
-		t.Fatalf("churn sweep depends on worker count:\nworkers=1:\n%s\nworkers=4:\n%s", csvSeq, csvPar)
-	}
-	// And a full re-run replays the same timeline.
-	again, err := ChurnSweep(opts, cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ChurnPointsCSV(again) != csvSeq {
-		t.Fatalf("churn sweep is not a pure function of its seed")
-	}
+	sameAcross(t, shapes([]int{1}, []int{1}, []int{1, 4, 2}), func(s shape) (string, error) {
+		pts, err := ChurnSweep(s.opts(42), cfg, s.workers)
+		return ChurnPointsCSV(pts), err
+	})
 }
 
 // TestChurnReplicationImprovesSurvival is the acceptance property:

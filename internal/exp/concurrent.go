@@ -48,10 +48,6 @@ type ConcurrentPoint struct {
 type ConcurrentConfig struct {
 	// N and R shape each of the K identical jobs (default 32 / 1).
 	N, R int
-	// Retries and Backoff configure the scheduler's contention handling
-	// (defaults 8 / 5s).
-	Retries int
-	Backoff time.Duration
 }
 
 func (c *ConcurrentConfig) fillDefaults() {
@@ -60,12 +56,6 @@ func (c *ConcurrentConfig) fillDefaults() {
 	}
 	if c.R <= 0 {
 		c.R = 1
-	}
-	if c.Retries == 0 {
-		c.Retries = 8
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = 5 * time.Second
 	}
 }
 
@@ -134,8 +124,8 @@ func ConcurrentJobs(opts Options, strategy core.Strategy, k int, cfg ConcurrentC
 		Timeout:  10 * time.Minute,
 	}
 	jobs, st, err := RunJobs(w, spec, k, sched.Config{
-		Retries: cfg.Retries,
-		Backoff: cfg.Backoff,
+		Retries: 8,
+		Backoff: 5 * time.Second,
 		Seed:    opts.Seed,
 	})
 	if err != nil {
@@ -172,11 +162,7 @@ func ConcurrentJobs(opts Options, strategy core.Strategy, k int, cfg ConcurrentC
 		pt.MeanHosts = sumHosts / float64(pt.Completed)
 		pt.MeanJobSeconds = sumSecs / float64(pt.Completed)
 	}
-	for _, p := range w.Peers {
-		a, r := p.RS().Stats()
-		pt.ReserveOK += int(a)
-		pt.ReserveNOK += int(r)
-	}
+	pt.ReserveOK, pt.ReserveNOK = w.ReserveStats()
 	if total := pt.ReserveOK + pt.ReserveNOK; total > 0 {
 		pt.ConflictRate = float64(pt.ReserveNOK) / float64(total)
 	}
@@ -190,20 +176,22 @@ func ConcurrentSweep(opts Options, strategy core.Strategy, ks []int, cfg Concurr
 	if ks == nil {
 		ks = DefaultConcurrentKs()
 	}
-	out := make([]ConcurrentPoint, len(ks))
-	err := runPool(len(ks), workers, func(i int) error {
-		p, err := ConcurrentJobs(opts, strategy, ks[i], cfg)
-		if err != nil {
-			return fmt.Errorf("%v k=%d: %w", strategy, ks[i], err)
-		}
-		out[i] = p
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	var coords []concCoord
+	for _, k := range ks {
+		coords = append(coords, concCoord{strategy, k})
 	}
-	return out, nil
+	return sweep(coords, workers, func(c concCoord) ([]ConcurrentPoint, error) {
+		p, err := ConcurrentJobs(opts, c.strategy, c.k, cfg)
+		return []ConcurrentPoint{p}, err
+	})
 }
+
+type concCoord struct {
+	strategy core.Strategy
+	k        int
+}
+
+func (c concCoord) String() string { return fmt.Sprintf("%v k=%d", c.strategy, c.k) }
 
 // DefaultConcurrentKs returns the K axis of the concurrent-jobs sweep.
 func DefaultConcurrentKs() []int { return []int{1, 2, 4, 8, 16} }

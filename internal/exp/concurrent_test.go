@@ -52,50 +52,18 @@ func TestConcurrentSweepParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots the full grid four times")
 	}
-	cfg := ConcurrentConfig{N: 16, R: 1}
-	ks := []int{2, 3}
-	seq, err := ConcurrentSweep(DefaultOptions(42), core.Spread, ks, cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := ConcurrentSweep(DefaultOptions(42), core.Spread, ks, cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := ConcurrentPointsCSV(seq), ConcurrentPointsCSV(par)
-	if a != b {
-		t.Fatalf("sequential and parallel sweeps diverged:\n--- seq ---\n%s--- par ---\n%s", a, b)
-	}
+	var k3 ConcurrentPoint
+	sameAcross(t, shapes([]int{1}, []int{1}, []int{1, 4}), func(s shape) (string, error) {
+		pts, err := ConcurrentSweep(s.opts(42), core.Spread, []int{2, 3}, ConcurrentConfig{N: 16, R: 1}, s.workers)
+		if err != nil {
+			return "", err
+		}
+		k3 = pts[1]
+		return ConcurrentPointsCSV(pts), nil
+	})
 	// Sanity: K=3 spread jobs of 16 processes land on 48 distinct hosts.
-	if par[1].Completed != 3 {
-		t.Fatalf("k=3 completed = %d", par[1].Completed)
-	}
-}
-
-// TestCoAllocationSweepParallelDeterminism checks the per-point-world
-// Figure 2/3 sweep the same way.
-func TestCoAllocationSweepParallelDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("boots the full grid four times")
-	}
-	ns := []int{100, 150}
-	seq, err := CoAllocationSweepParallel(DefaultOptions(42), core.Concentrate, ns, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := CoAllocationSweepParallel(DefaultOptions(42), core.Concentrate, ns, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := SitePointsCSV(seq), SitePointsCSV(par)
-	if a != b {
-		t.Fatalf("sequential and parallel sweeps diverged:\n--- seq ---\n%s--- par ---\n%s", a, b)
-	}
-	// The fresh-world n=100 concentrate point must reproduce the paper's
-	// all-nancy allocation (same as the shared-world sweep's first
-	// point, which also runs on an unperturbed platform).
-	if seq[0].CoresBySite["nancy"] != 100 {
-		t.Errorf("n=100 nancy cores = %d, want 100", seq[0].CoresBySite["nancy"])
+	if k3.Completed != 3 {
+		t.Fatalf("k=3 completed = %d", k3.Completed)
 	}
 }
 

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"p2pmpi/internal/core"
@@ -67,11 +68,7 @@ func TimePointsCSV(pts []TimePoint) string {
 			r.spread, r.hasS = p.Seconds, true
 		}
 	}
-	for i := 1; i < len(ns); i++ {
-		for j := i; j > 0 && ns[j] < ns[j-1]; j-- {
-			ns[j], ns[j-1] = ns[j-1], ns[j]
-		}
-	}
+	slices.Sort(ns)
 	var b strings.Builder
 	b.WriteString("n,concentrate_s,spread_s\n")
 	for _, n := range ns {

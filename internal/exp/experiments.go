@@ -105,23 +105,18 @@ func NASSweep(w *World, program string, strategy core.Strategy, ns []int) ([]Tim
 }
 
 // Fig2 runs the concentrate co-allocation sweep on a fresh world.
-func Fig2(opts Options, ns []int) ([]SitePoint, error) {
-	w := NewWorld(opts)
-	defer w.Close()
-	if err := w.Boot(); err != nil {
-		return nil, err
-	}
-	return CoAllocationSweep(w, core.Concentrate, ns)
-}
+func Fig2(opts Options, ns []int) ([]SitePoint, error) { return fig23(opts, core.Concentrate, ns) }
 
 // Fig3 runs the spread co-allocation sweep on a fresh world.
-func Fig3(opts Options, ns []int) ([]SitePoint, error) {
+func Fig3(opts Options, ns []int) ([]SitePoint, error) { return fig23(opts, core.Spread, ns) }
+
+func fig23(opts Options, strategy core.Strategy, ns []int) ([]SitePoint, error) {
 	w := NewWorld(opts)
 	defer w.Close()
 	if err := w.Boot(); err != nil {
 		return nil, err
 	}
-	return CoAllocationSweep(w, core.Spread, ns)
+	return CoAllocationSweep(w, strategy, ns)
 }
 
 // Fig4EP runs both strategies of the EP benchmark (Figure 4, left)
@@ -147,29 +142,14 @@ func Fig4IS(opts Options, ns []int, workers int) ([]TimePoint, error) {
 // a sequential (workers = 1) run.
 func fig4(program string, opts Options, ns []int, workers int) ([]TimePoint, error) {
 	strategies := []core.Strategy{core.Concentrate, core.Spread}
-	results := make([][]TimePoint, len(strategies))
-	err := runPool(len(strategies), workers, func(i int) error {
+	return sweep(strategies, workers, func(st core.Strategy) ([]TimePoint, error) {
 		w := NewWorld(opts)
+		defer w.Close()
 		if err := w.Boot(); err != nil {
-			w.Close()
-			return err
+			return nil, err
 		}
-		pts, err := NASSweep(w, program, strategies[i], ns)
-		w.Close()
-		if err != nil {
-			return err
-		}
-		results[i] = pts
-		return nil
+		return NASSweep(w, program, st, ns)
 	})
-	if err != nil {
-		return nil, err
-	}
-	var out []TimePoint
-	for _, pts := range results {
-		out = append(out, pts...)
-	}
-	return out, nil
 }
 
 // Table1Row is one line of the paper's Table 1.

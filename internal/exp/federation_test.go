@@ -87,20 +87,12 @@ func TestScaleCSVIdenticalAcrossFederationWidth(t *testing.T) {
 		Strategies: []core.Strategy{core.Spread, core.Concentrate, "comm-aware"},
 		N:          6,
 	}
-	csvAt := func(k int) string {
-		t.Helper()
+	k1 := sameAcross(t, shapes([]int{1, 4}, []int{1}, []int{1}), func(s shape) (string, error) {
 		c := cfg
-		c.Supernodes = []int{k}
-		pts, err := ScaleSweep(DefaultOptions(42), c, 1)
-		if err != nil {
-			t.Fatalf("K=%d: %v", k, err)
-		}
-		return ScalePointsCSV(pts)
-	}
-	k1, k4 := csvAt(1), csvAt(4)
-	if k1 != k4 {
-		t.Fatalf("K=1 and K=4 scale CSVs differ:\n--- K=1 ---\n%s--- K=4 ---\n%s", k1, k4)
-	}
+		c.Supernodes = []int{s.sn}
+		pts, err := ScaleSweep(s.opts(42), c, s.workers)
+		return ScalePointsCSV(pts), err
+	})
 	if !strings.Contains(k1, "spread") {
 		t.Fatalf("CSV looks empty:\n%s", k1)
 	}

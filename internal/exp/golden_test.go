@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -52,38 +53,80 @@ func goldenBase(t *testing.T) grid.TopologySpec {
 	return spec
 }
 
+// skipWhileUpdating skips a test that compares against a golden owned
+// by a TestGolden* run while those goldens are being regenerated.
+func skipWhileUpdating(t *testing.T) {
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		t.Skip("goldens are being regenerated by the sequential TestGolden* runs")
+	}
+}
+
+// shape is one execution layout of a sweep: supernode-federation
+// width, shard count and pool width. What the determinism tests pin
+// must not depend on it.
+type shape struct{ sn, shards, workers int }
+
+func (s shape) String() string {
+	return fmt.Sprintf("sn=%d shards=%d workers=%d", s.sn, s.shards, s.workers)
+}
+
+// opts returns DefaultOptions(seed) deployed in this shape.
+func (s shape) opts(seed int64) Options {
+	o := DefaultOptions(seed)
+	o.Supernodes = s.sn
+	o.Shards = s.shards
+	return o
+}
+
+// shapes is the cross product of the given axes.
+func shapes(sns, shards, workers []int) []shape {
+	var out []shape
+	for _, k := range sns {
+		for _, sh := range shards {
+			for _, w := range workers {
+				out = append(out, shape{k, sh, w})
+			}
+		}
+	}
+	return out
+}
+
+// sameAcross runs one experiment at every shape and fails unless each
+// run renders byte for byte what the first did; it returns those bytes.
+func sameAcross(t *testing.T, shapes []shape, run func(s shape) (string, error)) string {
+	t.Helper()
+	var first string
+	for i, s := range shapes {
+		got, err := run(s)
+		if err != nil {
+			t.Fatalf("%v: %v", s, err)
+		}
+		if i == 0 {
+			first = got
+		} else if got != first {
+			t.Fatalf("%v diverged from %v:\n--- first ---\n%s--- this run ---\n%s",
+				s, shapes[0], first, got)
+		}
+	}
+	return first
+}
+
 // TestGoldenScaleTrace: the scale family, across worker counts 1/4/8
 // and federation widths 1/4 — six runs, one committed byte string.
 func TestGoldenScaleTrace(t *testing.T) {
 	cfg := ScaleConfig{Base: goldenBase(t), N: 6}
-	var first string
-	for _, k := range []int{1, 4} {
-		for _, workers := range []int{1, 4, 8} {
+	goldenCompare(t, "golden_scale.csv", sameAcross(t, shapes([]int{1, 4}, []int{1}, []int{1, 4, 8}),
+		func(s shape) (string, error) {
 			c := cfg
-			c.Supernodes = []int{k}
-			pts, err := ScaleSweep(DefaultOptions(42), c, workers)
-			if err != nil {
-				t.Fatalf("sn=%d workers=%d: %v", k, workers, err)
-			}
-			csv := ScalePointsCSV(pts)
-			if first == "" {
-				first = csv
-				continue
-			}
-			if csv != first {
-				t.Fatalf("sn=%d workers=%d diverged:\n--- first ---\n%s--- this run ---\n%s",
-					k, workers, first, csv)
-			}
-		}
-	}
-	goldenCompare(t, "golden_scale.csv", first)
+			c.Supernodes = []int{s.sn}
+			pts, err := ScaleSweep(s.opts(42), c, s.workers)
+			return ScalePointsCSV(pts), err
+		}))
 }
 
-// TestGoldenChurnTrace: one survivability point per R, across worker
-// counts — the fault-injection timeline, detector probes, failovers and
-// re-books all replay identically.
-func TestGoldenChurnTrace(t *testing.T) {
-	cfg := ChurnConfig{
+// goldenChurnConfig is the churn point the golden pins.
+func goldenChurnConfig(t *testing.T) ChurnConfig {
+	return ChurnConfig{
 		Base:       goldenBase(t),
 		Strategies: []core.Strategy{core.Spread},
 		MTBFs:      []time.Duration{300 * time.Second},
@@ -94,45 +137,34 @@ func TestGoldenChurnTrace(t *testing.T) {
 		MTTR:       time.Minute,
 		Detect:     10 * time.Second,
 	}
-	var first string
-	for _, workers := range []int{1, 4, 8} {
-		pts, err := ChurnSweep(DefaultOptions(42), cfg, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		csv := ChurnPointsCSV(pts)
-		if first == "" {
-			first = csv
-			continue
-		}
-		if csv != first {
-			t.Fatalf("workers=%d diverged:\n--- first ---\n%s--- this run ---\n%s",
-				workers, first, csv)
-		}
+}
+
+// TestGoldenChurnTrace: one survivability point per R, across worker
+// counts — the fault-injection timeline, detector probes, failovers and
+// re-books all replay identically.
+func TestGoldenChurnTrace(t *testing.T) {
+	cfg := goldenChurnConfig(t)
+	goldenCompare(t, "golden_churn.csv", sameAcross(t, shapes([]int{1}, []int{1}, []int{1, 4, 8}),
+		func(s shape) (string, error) {
+			pts, err := ChurnSweep(s.opts(42), cfg, s.workers)
+			return ChurnPointsCSV(pts), err
+		}))
+}
+
+// concGoldenRun runs the K-concurrent-jobs point the golden pins.
+func concGoldenRun(t *testing.T) func(s shape) (string, error) {
+	base := goldenBase(t)
+	return func(s shape) (string, error) {
+		opts := s.opts(42)
+		opts.Topology = base
+		pts, err := ConcurrentSweep(opts, core.Spread, []int{1, 2}, ConcurrentConfig{N: 6}, s.workers)
+		return ConcurrentPointsCSV(pts), err
 	}
-	goldenCompare(t, "golden_churn.csv", first)
 }
 
 // TestGoldenConcTrace: the K-concurrent-jobs family across worker
 // counts.
 func TestGoldenConcTrace(t *testing.T) {
-	opts := DefaultOptions(42)
-	opts.Topology = goldenBase(t)
-	var first string
-	for _, workers := range []int{1, 4, 8} {
-		pts, err := ConcurrentSweep(opts, core.Spread, []int{1, 2}, ConcurrentConfig{N: 6}, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		csv := ConcurrentPointsCSV(pts)
-		if first == "" {
-			first = csv
-			continue
-		}
-		if csv != first {
-			t.Fatalf("workers=%d diverged:\n--- first ---\n%s--- this run ---\n%s",
-				workers, first, csv)
-		}
-	}
-	goldenCompare(t, "golden_conc.csv", first)
+	goldenCompare(t, "golden_conc.csv",
+		sameAcross(t, shapes([]int{1}, []int{1}, []int{1, 4, 8}), concGoldenRun(t)))
 }

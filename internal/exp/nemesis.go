@@ -2,8 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"hash/fnv"
-	"math"
 	"strings"
 	"time"
 
@@ -11,8 +9,6 @@ import (
 	"p2pmpi/internal/core"
 	"p2pmpi/internal/faults"
 	"p2pmpi/internal/grid"
-	"p2pmpi/internal/mpd"
-	"p2pmpi/internal/sched"
 )
 
 // The nemesis experiment family measures partition tolerance — the
@@ -126,21 +122,15 @@ type NemesisConfig struct {
 	// JobSeconds is the spin duration of each job — the failure-free
 	// completion baseline (default 60).
 	JobSeconds float64
-	// Workers bounds the scheduler's in-flight jobs per point (default
-	// 2); Retries is the per-job re-book budget (default 4); Detect the
-	// failure-detector probe period (default 10s); Timeout bounds each
-	// submission attempt (default 3×JobSeconds plus two minutes).
-	Workers int
+	// Retries is the per-job re-book budget (default 4); Detect the
+	// failure-detector probe period (default 10s).
 	Retries int
 	Detect  time.Duration
-	Timeout time.Duration
 	// RPCRetries is the robustness layer's re-attempt budget (default
 	// 2; -1 disables retries entirely — the no-robustness baseline the
-	// bench artifact compares against). RPCBackoff is the base backoff
-	// (default mpd's 1s); BreakerThreshold arms the per-supernode
-	// circuit breaker (0 = off).
+	// bench artifact compares against). BreakerThreshold arms the
+	// per-supernode circuit breaker (0 = off).
 	RPCRetries       int
-	RPCBackoff       time.Duration
 	BreakerThreshold int
 }
 
@@ -182,31 +172,16 @@ func (c *NemesisConfig) fillDefaults() error {
 	if c.JobSeconds <= 0 {
 		c.JobSeconds = 60
 	}
-	if c.Workers <= 0 {
-		c.Workers = 2
-	}
 	if c.Retries <= 0 {
 		c.Retries = 4
 	}
 	if c.Detect <= 0 {
 		c.Detect = 10 * time.Second
 	}
-	if c.Timeout <= 0 {
-		c.Timeout = time.Duration(3*c.JobSeconds)*time.Second + 2*time.Minute
-	}
 	if c.RPCRetries == 0 {
 		c.RPCRetries = 2
 	}
 	return nil
-}
-
-// nemesisSeed derives the per-point injection seed: a pure function of
-// the (loss, partition duration) coordinates, so replays and worker
-// counts cannot move it.
-func nemesisSeed(seed int64, loss float64, partDur time.Duration) int64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "nemesis|%g|%d", loss, partDur)
-	return seed ^ int64(h.Sum64())
 }
 
 // NemesisSweep measures every (loss, partition duration) point. Each
@@ -218,31 +193,24 @@ func NemesisSweep(opts Options, cfg NemesisConfig, workers int) ([]NemesisPoint,
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
-	type coord struct {
-		loss    float64
-		partDur time.Duration
-	}
-	var coords []coord
+	var coords []nemesisCoord
 	for _, loss := range cfg.Losses {
 		for _, pd := range cfg.PartDurs {
-			coords = append(coords, coord{loss, pd})
+			coords = append(coords, nemesisCoord{loss, pd})
 		}
 	}
-	out := make([]NemesisPoint, len(coords))
-	err := runPool(len(coords), workers, func(i int) error {
-		c := coords[i]
+	return sweep(coords, workers, func(c nemesisCoord) ([]NemesisPoint, error) {
 		pt, err := nemesisAt(opts, cfg, c.loss, c.partDur)
-		if err != nil {
-			return fmt.Errorf("loss=%g partdur=%v: %w", c.loss, c.partDur, err)
-		}
-		out[i] = pt
-		return nil
+		return []NemesisPoint{pt}, err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
+
+type nemesisCoord struct {
+	loss    float64
+	partDur time.Duration
+}
+
+func (c nemesisCoord) String() string { return fmt.Sprintf("loss=%g partdur=%v", c.loss, c.partDur) }
 
 // nemesisAt boots one world, arms the nemesis, and runs the batch.
 func nemesisAt(opts Options, cfg NemesisConfig, loss float64, partDur time.Duration) (NemesisPoint, error) {
@@ -251,23 +219,9 @@ func nemesisAt(opts Options, cfg NemesisConfig, loss float64, partDur time.Durat
 	if rr := cfg.RPCRetries; rr > 0 {
 		o.RPCRetries = rr
 	}
-	o.RPCBackoff = cfg.RPCBackoff
 	o.BreakerThreshold = cfg.BreakerThreshold
 	if cfg.Base.TotalHosts() > 1000 {
-		// Same large-world membership-noise bounds as churnAt.
-		if o.MaxPeersReturned == 0 {
-			bound := 4 * (int(math.Ceil(1.2*float64(cfg.N*cfg.R))) + 2)
-			if bound < 512 {
-				bound = 512
-			}
-			o.MaxPeersReturned = bound
-		}
-		if o.PeerRefreshInterval == 0 {
-			o.PeerRefreshInterval = time.Hour
-		}
-		if o.PeerCacheCap == 0 {
-			o.PeerCacheCap = 2
-		}
+		o.boundMembership(cfg.N * cfg.R)
 	}
 	w := NewWorld(o)
 	defer w.Close()
@@ -275,9 +229,16 @@ func nemesisAt(opts Options, cfg NemesisConfig, loss float64, partDur time.Durat
 		return NemesisPoint{}, err
 	}
 
-	budget := runJobsBudget(cfg.Jobs) // RunJobs' pump budget, in virtual seconds
+	batch := spinBatch{
+		Strategy: cfg.Strategy,
+		N:        cfg.N, R: cfg.R, Jobs: cfg.Jobs,
+		Seconds: cfg.JobSeconds,
+		Detect:  cfg.Detect,
+		Retries: cfg.Retries,
+	}
 	fc := faults.Config{
-		Seed:     nemesisSeed(opts.Seed, loss, partDur),
+		// A pure function of the (loss, partition duration) coordinates.
+		Seed:     subSeed(opts.Seed, "nemesis|%g|%d", loss, partDur),
 		Loss:     loss,
 		LatMult:  cfg.LatMult,
 		DupProb:  cfg.Dup,
@@ -285,7 +246,7 @@ func nemesisAt(opts Options, cfg NemesisConfig, loss float64, partDur time.Durat
 		GrayFrac: cfg.GrayFrac,
 		GrayMTBF: cfg.GrayMTBF, GrayMTTR: cfg.GrayMTTR,
 		GrayDrop: cfg.GrayDrop, GraySlow: cfg.GraySlow,
-		Horizon: time.Duration(budget) * time.Second,
+		Horizon: batch.horizon(),
 	}
 	if partDur > 0 {
 		fc.PartMTBF = cfg.PartMTBF
@@ -299,30 +260,13 @@ func nemesisAt(opts Options, cfg NemesisConfig, loss float64, partDur time.Durat
 	var churnDriver *churn.Driver
 	if cfg.MTBF > 0 {
 		churnDriver = w.StartChurn(churn.Config{
-			Seed:    churnSeed(opts.Seed, cfg.MTBF, cfg.R),
+			Seed:    subSeed(opts.Seed, "churn|%d|%d", cfg.MTBF, cfg.R),
 			MTBF:    cfg.MTBF,
 			MTTR:    cfg.MTTR,
-			Horizon: time.Duration(budget) * time.Second,
+			Horizon: batch.horizon(),
 		})
 	}
-
-	spec := mpd.JobSpec{
-		Program:        "spin",
-		Args:           []string{fmt.Sprintf("%g", cfg.JobSeconds)},
-		N:              cfg.N,
-		R:              cfg.R,
-		Strategy:       cfg.Strategy,
-		Timeout:        cfg.Timeout,
-		FailureDetect:  cfg.Detect,
-		ReserveRetries: 1,
-	}
-	jobs, _, err := RunJobs(w, spec, cfg.Jobs, sched.Config{
-		Workers:      cfg.Workers,
-		Retries:      cfg.Retries,
-		Backoff:      5 * time.Second,
-		Seed:         opts.Seed,
-		IsContention: ChurnRetryable,
-	})
+	b, err := batch.run(w, opts.Seed)
 	injected := driver.Stop()
 	heal := hw.Stats()
 	var crashes churn.Stats
@@ -337,7 +281,10 @@ func nemesisAt(opts Options, cfg NemesisConfig, loss float64, partDur time.Durat
 		Loss:           loss,
 		PartDurSeconds: partDur.Seconds(),
 		N:              cfg.N, R: cfg.R, Jobs: cfg.Jobs,
-		Hosts:            w.Grid.TotalHosts(),
+		Hosts:     w.Grid.TotalHosts(),
+		Succeeded: b.Succeeded, Failed: b.Failed, SuccessRate: b.SuccessRate,
+		MeanSeconds: b.MeanSeconds, Inflation: b.Inflation,
+		Failovers: b.Failovers, HostsLost: b.HostsLost, Rebooks: b.Rebooks,
 		Partitions:       injected.Partitions,
 		PartitionSeconds: injected.PartitionTime.Seconds(),
 		CutPairs:         injected.CutPairs,
@@ -359,25 +306,6 @@ func nemesisAt(opts Options, cfg NemesisConfig, loss float64, partDur time.Durat
 		ps := p.Stats()
 		pt.RPCRetries += ps.RPCRetries
 		pt.BreakerSkips += ps.BreakerSkips
-	}
-	var sumSecs float64
-	for _, j := range jobs {
-		pt.Rebooks += j.Attempts - 1
-		if j.Result != nil {
-			pt.HostsLost += j.Result.Failover.HostsLost
-		}
-		if j.Err != nil || j.Result.LostRanks() > 0 {
-			pt.Failed++
-			continue
-		}
-		pt.Succeeded++
-		sumSecs += j.Latency().Seconds()
-		pt.Failovers += j.Result.Failover.Failovers
-	}
-	pt.SuccessRate = float64(pt.Succeeded) / float64(cfg.Jobs)
-	if pt.Succeeded > 0 {
-		pt.MeanSeconds = sumSecs / float64(pt.Succeeded)
-		pt.Inflation = pt.MeanSeconds / cfg.JobSeconds
 	}
 	return pt, nil
 }

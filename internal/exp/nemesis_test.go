@@ -2,7 +2,6 @@ package exp
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -42,31 +41,11 @@ func nemesisTestConfig(t *testing.T) NemesisConfig {
 // cache and retry jitter is drawn per target (see mpd.retryDelay).
 func TestGoldenNemesisTrace(t *testing.T) {
 	cfg := nemesisTestConfig(t)
-	var first string
-	var firstShape string
-	for _, sn := range []int{1, 4} {
-		for _, shards := range []int{1, 4} {
-			for _, workers := range []int{1, 4} {
-				opts := DefaultOptions(42)
-				opts.Supernodes = sn
-				opts.Shards = shards
-				pts, err := NemesisSweep(opts, cfg, workers)
-				if err != nil {
-					t.Fatalf("sn=%d shards=%d workers=%d: %v", sn, shards, workers, err)
-				}
-				csv := NemesisPointsCSV(pts)
-				if first == "" {
-					first, firstShape = csv, fmt.Sprintf("sn=%d shards=%d workers=%d", sn, shards, workers)
-					continue
-				}
-				if csv != first {
-					t.Fatalf("sn=%d shards=%d workers=%d diverged from %s:\n--- first ---\n%s--- this run ---\n%s",
-						sn, shards, workers, firstShape, first, csv)
-				}
-			}
-		}
-	}
-	goldenCompare(t, "golden_nemesis.csv", first)
+	goldenCompare(t, "golden_nemesis.csv", sameAcross(t, shapes([]int{1, 4}, []int{1, 4}, []int{1, 4}),
+		func(s shape) (string, error) {
+			pts, err := NemesisSweep(s.opts(42), cfg, s.workers)
+			return NemesisPointsCSV(pts), err
+		}))
 }
 
 // TestNemesisShardRace composes a federation-splitting partition
@@ -87,33 +66,25 @@ func TestNemesisShardRace(t *testing.T) {
 	cfg.Detect = 5 * time.Second
 	cfg.BreakerThreshold = 3
 
-	run := func(shards int) (string, string, NemesisPoint) {
-		opts := DefaultOptions(99)
-		opts.Supernodes = 4
-		opts.Shards = shards
-		pts, err := NemesisSweep(opts, cfg, 2)
+	var seqPt *NemesisPoint
+	sameAcross(t, shapes([]int{4}, []int{1, 3}, []int{2}), func(s shape) (string, error) {
+		pts, err := NemesisSweep(s.opts(99), cfg, s.workers)
 		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
+			return "", err
 		}
-		return NemesisPointsCSV(pts), NemesisFederationCSV(pts), pts[0]
-	}
-
-	seqCSV, seqFed, seqPt := run(1)
-	shCSV, shFed, _ := run(3)
+		if seqPt == nil {
+			seqPt = &pts[0]
+		}
+		return NemesisPointsCSV(pts) + NemesisFederationCSV(pts), nil
+	})
 	if seqPt.Partitions < 2 {
-		t.Fatalf("partition load too light to mean anything: %+v", seqPt)
+		t.Fatalf("partition load too light to mean anything: %+v", *seqPt)
 	}
 	if seqPt.FailuresInjected < 10 {
 		t.Fatalf("churn load too light to mean anything: %d failures", seqPt.FailuresInjected)
 	}
 	if seqPt.RPCRetries == 0 {
-		t.Fatalf("robustness layer never retried under 20%% loss: %+v", seqPt)
-	}
-	if shCSV != seqCSV {
-		t.Fatalf("job-plane point diverged:\n--- seq ---\n%s--- sharded ---\n%s", seqCSV, shCSV)
-	}
-	if shFed != seqFed {
-		t.Fatalf("membership-tier point diverged:\n--- seq ---\n%s--- sharded ---\n%s", seqFed, shFed)
+		t.Fatalf("robustness layer never retried under 20%% loss: %+v", *seqPt)
 	}
 }
 

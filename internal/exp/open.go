@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strings"
 	"sync"
@@ -113,22 +112,15 @@ type OpenConfig struct {
 	Duration, Warmup time.Duration
 	// R is the replication degree per job (default 1).
 	R int
-	// NMin, NMax, NAlpha, DurMin, DurMax and DurAlpha forward to
-	// workload.Config (bounded-Pareto widths and service durations;
-	// zero keeps the workload defaults).
+	// NMin, NMax, DurMin and DurMax forward to workload.Config
+	// (bounded-Pareto widths and service durations; zero keeps the
+	// workload defaults).
 	NMin, NMax     int
-	NAlpha         float64
 	DurMin, DurMax float64
-	DurAlpha       float64
 	// MaxSubmissions caps the trace per point (0 = no cap).
 	MaxSubmissions int
 	// Workers bounds the scheduler's in-flight jobs (default 8).
 	Workers int
-	// Retries, Backoff and Timeout configure the scheduler (defaults
-	// 4 / 5s / 3×DurMax + 2min).
-	Retries int
-	Backoff time.Duration
-	Timeout time.Duration
 	// MTBF composes host churn with the open workload (0 = failure-free).
 	// MTTR, Dist, WeibullShape, SiteMTBF and SiteMTTR mirror ChurnConfig;
 	// Detect arms the mid-run failure detector (default 10s when churning).
@@ -182,19 +174,6 @@ func (c *OpenConfig) fillDefaults() error {
 	if c.Workers <= 0 {
 		c.Workers = 8
 	}
-	if c.Retries <= 0 {
-		c.Retries = 4
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = 5 * time.Second
-	}
-	if c.Timeout <= 0 {
-		durMax := c.DurMax
-		if durMax <= 0 {
-			durMax = 1800 // the workload default
-		}
-		c.Timeout = time.Duration(3*durMax)*time.Second + 2*time.Minute
-	}
 	if c.MTBF > 0 {
 		if c.MTTR <= 0 {
 			c.MTTR = time.Minute
@@ -212,33 +191,18 @@ func (c *OpenConfig) fillDefaults() error {
 // differences are attributable to policy, not trace luck.
 func (c OpenConfig) workloadConfig(seed int64) workload.Config {
 	return workload.Config{
-		Seed:           openSeed(seed),
+		// Fanned out away from the world's own jitter streams.
+		Seed:           subSeed(seed, "open|workload"),
 		Arrival:        c.Arrival,
 		Tenants:        c.Tenants,
 		TenantSkew:     c.TenantSkew,
 		PriorityLevels: c.PriorityLevels,
-		NMin:           c.NMin, NMax: c.NMax, NAlpha: c.NAlpha,
-		DurMin: c.DurMin, DurMax: c.DurMax, DurAlpha: c.DurAlpha,
+		NMin:           c.NMin, NMax: c.NMax,
+		DurMin: c.DurMin, DurMax: c.DurMax,
 		Horizon:         c.Duration,
 		MaxSubmissions:  c.MaxSubmissions,
 		DeadlineFactors: c.DeadlineFactors,
 	}
-}
-
-// openSeed fans the sweep seed out to the workload generator, away from
-// the world's own jitter streams.
-func openSeed(seed int64) int64 {
-	h := fnv.New64a()
-	h.Write([]byte("open|workload"))
-	return seed ^ int64(h.Sum64())
-}
-
-// openChurnSeed seeds composed churn — like churnSeed, a pure function
-// of the failure model so every strategy faces the identical timeline.
-func openChurnSeed(seed int64, mtbf, mttr time.Duration) int64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "open|churn|%d|%d", mtbf, mttr)
-	return seed ^ int64(h.Sum64())
 }
 
 // openAccum accumulates one point's statistics in O(1) memory per
@@ -364,7 +328,8 @@ func RunOpen(opts Options, cfg OpenConfig, strategy core.Strategy) (OpenPoint, e
 	if err := cfg.fillDefaults(); err != nil {
 		return OpenPoint{}, err
 	}
-	stream, err := workload.NewStream(cfg.workloadConfig(opts.Seed))
+	wc := cfg.workloadConfig(opts.Seed)
+	stream, err := workload.NewStream(wc)
 	if err != nil {
 		return OpenPoint{}, err
 	}
@@ -372,29 +337,17 @@ func RunOpen(opts Options, cfg OpenConfig, strategy core.Strategy) (OpenPoint, e
 		return OpenPoint{}, fmt.Errorf("exp: open trace is empty — raise the rate or the duration")
 	}
 
+	// The job shape the trace actually draws sizes both the attempt
+	// timeout and the large-world reply bound.
+	shape := wc.WithDefaults()
+	timeout := time.Duration(3*shape.DurMax)*time.Second + 2*time.Minute
+
 	o := opts
 	o.Topology = cfg.Base
 	if cfg.Base.TotalHosts() > 1000 {
-		// Same membership-traffic diet as churnAt: on big worlds the
-		// long steady-state horizon would drown in O(world) host-list
-		// replies that no measurement consumes.
-		if o.MaxPeersReturned == 0 {
-			nMax := cfg.NMax
-			if nMax <= 0 {
-				nMax = 32
-			}
-			bound := 4 * (int(math.Ceil(1.2*float64(nMax*cfg.R))) + 2)
-			if bound < 512 {
-				bound = 512
-			}
-			o.MaxPeersReturned = bound
-		}
-		if o.PeerRefreshInterval == 0 {
-			o.PeerRefreshInterval = time.Hour
-		}
-		if o.PeerCacheCap == 0 {
-			o.PeerCacheCap = 2
-		}
+		// On big worlds the long steady-state horizon would drown in
+		// O(world) host-list replies; see Options.boundMembership.
+		o.boundMembership(shape.NMax * cfg.R)
 	}
 	if cfg.Duration >= 24*time.Hour {
 		// Long-horizon diet: at the paper's 20s frontal cadence a week of
@@ -431,7 +384,9 @@ func RunOpen(opts Options, cfg OpenConfig, strategy core.Strategy) (OpenPoint, e
 	var churnDriver *churn.Driver
 	if cfg.MTBF > 0 {
 		churnDriver = w.StartChurn(churn.Config{
-			Seed:         openChurnSeed(opts.Seed, cfg.MTBF, cfg.MTTR),
+			// Like the churn family's seed, a pure function of the failure
+			// model, so every strategy faces the identical timeline.
+			Seed:         subSeed(opts.Seed, "open|churn|%d|%d", cfg.MTBF, cfg.MTTR),
 			MTBF:         cfg.MTBF,
 			MTTR:         cfg.MTTR,
 			UpDist:       cfg.Dist,
@@ -445,8 +400,8 @@ func RunOpen(opts Options, cfg OpenConfig, strategy core.Strategy) (OpenPoint, e
 
 	sc := sched.New(w.S, w.Frontal, w.HostSlots(), sched.Config{
 		Workers:      cfg.Workers,
-		Retries:      cfg.Retries,
-		Backoff:      cfg.Backoff,
+		Retries:      4,
+		Backoff:      5 * time.Second,
 		Seed:         opts.Seed,
 		IsContention: ChurnRetryable,
 		QuotaRate:    cfg.QuotaRate,
@@ -469,7 +424,7 @@ func RunOpen(opts Options, cfg OpenConfig, strategy core.Strategy) (OpenPoint, e
 			N:              sub.N,
 			R:              cfg.R,
 			Strategy:       strategy,
-			Timeout:        cfg.Timeout,
+			Timeout:        timeout,
 			FailureDetect:  cfg.Detect,
 			ReserveRetries: 1,
 		}
@@ -637,20 +592,19 @@ func OpenSweep(opts Options, cfg OpenConfig, workers int) ([]OpenPoint, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
-	out := make([]OpenPoint, len(cfg.Strategies))
-	err := runPool(len(cfg.Strategies), workers, func(i int) error {
-		pt, err := RunOpen(opts, cfg, cfg.Strategies[i])
-		if err != nil {
-			return fmt.Errorf("open %s: %w", cfg.Strategies[i], err)
-		}
-		out[i] = pt
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	coords := make([]openCoord, len(cfg.Strategies))
+	for i, st := range cfg.Strategies {
+		coords[i] = openCoord(st)
 	}
-	return out, nil
+	return sweep(coords, workers, func(c openCoord) ([]OpenPoint, error) {
+		pt, err := RunOpen(opts, cfg, core.Strategy(c))
+		return []OpenPoint{pt}, err
+	})
 }
+
+type openCoord core.Strategy
+
+func (c openCoord) String() string { return "open " + string(c) }
 
 // OpenPointsCSV renders an open sweep as CSV, one row per strategy.
 func OpenPointsCSV(pts []OpenPoint) string {

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"time"
 
@@ -68,8 +67,6 @@ type ScaleConfig struct {
 	Supernodes []int
 	// N and R shape the per-strategy job (defaults 128 / 1).
 	N, R int
-	// Timeout bounds each submission in virtual time (default 10m).
-	Timeout time.Duration
 }
 
 func (c *ScaleConfig) fillDefaults() error {
@@ -95,9 +92,6 @@ func (c *ScaleConfig) fillDefaults() error {
 	}
 	if c.R <= 0 {
 		c.R = 1
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 10 * time.Minute
 	}
 	return nil
 }
@@ -133,31 +127,20 @@ func ScaleSweep(opts Options, cfg ScaleConfig, workers int) ([]ScalePoint, error
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
-	type coord struct{ hosts, sn int }
-	var coords []coord
+	var coords []scaleCoord
 	for _, h := range cfg.HostCounts {
 		for _, k := range cfg.Supernodes {
-			coords = append(coords, coord{h, k})
+			coords = append(coords, scaleCoord{h, k})
 		}
 	}
-	perWorld := make([][]ScalePoint, len(coords))
-	err := runPool(len(coords), workers, func(i int) error {
-		pts, err := scaleAt(opts, cfg, coords[i].hosts, coords[i].sn)
-		if err != nil {
-			return fmt.Errorf("hosts=%d sn=%d: %w", coords[i].hosts, coords[i].sn, err)
-		}
-		perWorld[i] = pts
-		return nil
+	return sweep(coords, workers, func(c scaleCoord) ([]ScalePoint, error) {
+		return scaleAt(opts, cfg, c.hosts, c.sn)
 	})
-	if err != nil {
-		return nil, err
-	}
-	var out []ScalePoint
-	for _, pts := range perWorld {
-		out = append(out, pts...)
-	}
-	return out, nil
 }
+
+type scaleCoord struct{ hosts, sn int }
+
+func (c scaleCoord) String() string { return fmt.Sprintf("hosts=%d sn=%d", c.hosts, c.sn) }
 
 // scaleAt boots one world of ~hosts hosts under a K-wide supernode
 // tier and runs every strategy on it.
@@ -167,28 +150,8 @@ func scaleAt(opts Options, cfg ScaleConfig, hosts, sn int) ([]ScalePoint, error)
 	o.Supernodes = sn
 	if hosts > 2000 {
 		// Past a few thousand hosts unbounded host-list replies dominate
-		// the simulation the same way they dominate churn horizons (see
-		// churnAt): bound the supernode replies well above the booking
-		// fan-out and slow the compute peers' refreshes — their cached
-		// lists are never consulted, only the frontal's view feeds the
-		// measurement. Both knobs stay caller-overridable.
-		if o.MaxPeersReturned == 0 {
-			bound := 4 * (int(math.Ceil(1.2*float64(cfg.N*cfg.R))) + 2)
-			if bound < 512 {
-				bound = 512
-			}
-			o.MaxPeersReturned = bound
-		}
-		if o.PeerRefreshInterval == 0 {
-			o.PeerRefreshInterval = time.Hour
-		}
-		if o.PeerCacheCap == 0 {
-			// Compute peers' caches feed no measurement here, but each
-			// would retain its O(MaxPeersReturned) boot snapshot — the
-			// dominant per-host memory at 500k–1M hosts. Keep a token
-			// couple of entries per host (~128 B instead of ~32 KB).
-			o.PeerCacheCap = 2
-		}
+		// the simulation the same way they dominate churn horizons.
+		o.boundMembership(cfg.N * cfg.R)
 		if o.BootSpread == 0 {
 			// An everyone-at-vtime-0 boot holds one registration actor
 			// per host in flight at once; the Go runtime caches every
@@ -224,7 +187,7 @@ func scaleAt(opts Options, cfg ScaleConfig, hosts, sn int) ([]ScalePoint, error)
 			N:        cfg.N,
 			R:        cfg.R,
 			Strategy: strategy,
-			Timeout:  cfg.Timeout,
+			Timeout:  10 * time.Minute,
 		})
 		if err != nil {
 			return out, fmt.Errorf("%s: %w", strategy, err)

@@ -34,19 +34,18 @@ func TestShardChurnBarrierRace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	run := func(shards int) (sched.Stats, churn.Stats, []string) {
-		o := DefaultOptions(99)
+	var seqInj *churn.Stats
+	sameAcross(t, shapes([]int{4}, []int{1, 3}, []int{1}), func(s shape) (string, error) {
+		o := s.opts(99)
 		o.Topology = spec
-		o.Supernodes = 4
-		o.Shards = shards
 		w := NewWorld(o)
 		defer w.Close()
 		if err := w.Boot(); err != nil {
-			t.Fatal(err)
+			return "", err
 		}
 		budget := runJobsBudget(4)
 		driver := w.StartChurn(churn.Config{
-			Seed:    churnSeed(99, 60*time.Second, 2),
+			Seed:    subSeed(99, "churn|%d|%d", 60*time.Second, 2),
 			MTBF:    60 * time.Second,
 			MTTR:    30 * time.Second,
 			Horizon: time.Duration(budget) * time.Second,
@@ -64,31 +63,19 @@ func TestShardChurnBarrierRace(t *testing.T) {
 		})
 		injected := driver.Stop()
 		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
+			return "", err
 		}
-		lines := make([]string, 0, len(jobs))
+		if seqInj == nil {
+			seqInj = &injected
+		}
+		out := fmt.Sprintf("injected %+v\nscheduler %+v\n", injected, stats)
 		for _, j := range jobs {
-			lines = append(lines, jobLine(j))
+			out += jobLine(j) + "\n"
 		}
-		return stats, injected, lines
-	}
-
-	seqSched, seqInj, seqJobs := run(1)
-	shSched, shInj, shJobs := run(3)
-
+		return out, nil
+	})
 	if seqInj.Failures < 10 {
 		t.Fatalf("churn load too light to mean anything: %d failures", seqInj.Failures)
-	}
-	if shInj != seqInj {
-		t.Fatalf("injected churn diverged:\nseq: %+v\nsharded: %+v", seqInj, shInj)
-	}
-	if shSched != seqSched {
-		t.Fatalf("scheduler stats diverged:\nseq: %+v\nsharded: %+v", seqSched, shSched)
-	}
-	for i := range seqJobs {
-		if shJobs[i] != seqJobs[i] {
-			t.Fatalf("job %d diverged:\nseq:     %s\nsharded: %s", i, seqJobs[i], shJobs[i])
-		}
 	}
 }
 

@@ -1,12 +1,9 @@
 package exp
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
-	"p2pmpi/internal/core"
 	"p2pmpi/internal/grid"
 )
 
@@ -22,41 +19,19 @@ import (
 // Shard counts above the site count (the golden base has 3 sites)
 // exercise the clamp in grid.PartitionSites: -shards 8 on a 3-site
 // grid runs 3 shards.
-func shardGolden(t *testing.T, name string) string {
-	t.Helper()
-	if os.Getenv("UPDATE_GOLDEN") != "" {
-		t.Skip("goldens are being regenerated by the sequential TestGolden* runs")
-	}
-	want, err := os.ReadFile(filepath.Join("testdata", name))
-	if err != nil {
-		t.Fatalf("missing golden file (generate with UPDATE_GOLDEN=1 go test -run TestGolden): %v", err)
-	}
-	return string(want)
-}
 
 // TestShardDeterminismScale: the scale family across
 // shards 1/2/4/8 × federation width 1/4 × workers 1/4.
 func TestShardDeterminismScale(t *testing.T) {
-	want := shardGolden(t, "golden_scale.csv")
+	skipWhileUpdating(t)
 	cfg := ScaleConfig{Base: goldenBase(t), N: 6}
-	for _, shards := range []int{1, 2, 4, 8} {
-		for _, k := range []int{1, 4} {
-			for _, workers := range []int{1, 4} {
-				c := cfg
-				c.Supernodes = []int{k}
-				opts := DefaultOptions(42)
-				opts.Shards = shards
-				pts, err := ScaleSweep(opts, c, workers)
-				if err != nil {
-					t.Fatalf("shards=%d sn=%d workers=%d: %v", shards, k, workers, err)
-				}
-				if csv := ScalePointsCSV(pts); csv != want {
-					t.Fatalf("shards=%d sn=%d workers=%d diverged from golden:\n--- want ---\n%s--- got ---\n%s",
-						shards, k, workers, want, csv)
-				}
-			}
-		}
-	}
+	goldenCompare(t, "golden_scale.csv", sameAcross(t, shapes([]int{1, 4}, []int{1, 2, 4, 8}, []int{1, 4}),
+		func(s shape) (string, error) {
+			c := cfg
+			c.Supernodes = []int{s.sn}
+			pts, err := ScaleSweep(s.opts(42), c, s.workers)
+			return ScalePointsCSV(pts), err
+		}))
 }
 
 // TestShardDeterminismChurn: the fault-injection family — the churn
@@ -65,52 +40,20 @@ func TestShardDeterminismScale(t *testing.T) {
 // fire every failure, detection and re-book at the same virtual
 // instant.
 func TestShardDeterminismChurn(t *testing.T) {
-	want := shardGolden(t, "golden_churn.csv")
-	cfg := ChurnConfig{
-		Base:       goldenBase(t),
-		Strategies: []core.Strategy{core.Spread},
-		MTBFs:      []time.Duration{300 * time.Second},
-		Rs:         []int{1, 2},
-		N:          6,
-		Jobs:       3,
-		JobSeconds: 40,
-		MTTR:       time.Minute,
-		Detect:     10 * time.Second,
-	}
-	for _, shards := range []int{1, 2, 4, 8} {
-		for _, workers := range []int{1, 4} {
-			opts := DefaultOptions(42)
-			opts.Shards = shards
-			pts, err := ChurnSweep(opts, cfg, workers)
-			if err != nil {
-				t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
-			}
-			if csv := ChurnPointsCSV(pts); csv != want {
-				t.Fatalf("shards=%d workers=%d diverged from golden:\n--- want ---\n%s--- got ---\n%s",
-					shards, workers, want, csv)
-			}
-		}
-	}
+	skipWhileUpdating(t)
+	cfg := goldenChurnConfig(t)
+	goldenCompare(t, "golden_churn.csv", sameAcross(t, shapes([]int{1}, []int{1, 2, 4, 8}, []int{1, 4}),
+		func(s shape) (string, error) {
+			pts, err := ChurnSweep(s.opts(42), cfg, s.workers)
+			return ChurnPointsCSV(pts), err
+		}))
 }
 
 // TestShardDeterminismConc: the K-concurrent-jobs family.
 func TestShardDeterminismConc(t *testing.T) {
-	want := shardGolden(t, "golden_conc.csv")
-	for _, shards := range []int{1, 2, 4, 8} {
-		for _, workers := range []int{1, 4} {
-			opts := DefaultOptions(42)
-			opts.Topology = goldenBase(t)
-			opts.Shards = shards
-			pts, err := ConcurrentSweep(opts, core.Spread, []int{1, 2}, ConcurrentConfig{N: 6}, workers)
-			if err != nil {
-				t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
-			}
-			if csv := ConcurrentPointsCSV(pts); csv != want {
-				t.Fatalf("shards=%d workers=%d diverged from golden:\n--- want ---\n%s--- got ---\n%s",
-					shards, workers, want, csv)
-			}
-		}
-	}
+	skipWhileUpdating(t)
+	goldenCompare(t, "golden_conc.csv",
+		sameAcross(t, shapes([]int{1}, []int{1, 2, 4, 8}, []int{1, 4}), concGoldenRun(t)))
 }
 
 // TestShardDeterminismFederated pins the sharded path on the
@@ -118,24 +61,11 @@ func TestShardDeterminismConc(t *testing.T) {
 // federated world per shard count, all producing the same scale point.
 func TestShardDeterminismFederated(t *testing.T) {
 	cfg := ScaleConfig{Base: goldenBase(t), N: 4, Supernodes: []int{4}}
-	var first string
-	for _, shards := range []int{1, 2, 3} {
-		opts := DefaultOptions(7)
-		opts.Shards = shards
-		pts, err := ScaleSweep(opts, cfg, 2)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		csv := ScalePointsCSV(pts)
-		if first == "" {
-			first = csv
-			continue
-		}
-		if csv != first {
-			t.Fatalf("shards=%d diverged:\n--- shards=1 ---\n%s--- this run ---\n%s", shards, first, csv)
-		}
-	}
-	if first == "" {
+	got := sameAcross(t, shapes([]int{4}, []int{1, 2, 3}, []int{2}), func(s shape) (string, error) {
+		pts, err := ScaleSweep(s.opts(7), cfg, s.workers)
+		return ScalePointsCSV(pts), err
+	})
+	if got == "" {
 		t.Fatal("no output")
 	}
 }

@@ -109,7 +109,7 @@ type Stream struct {
 // NewStream validates cfg and positions the stream at the first
 // submission.
 func NewStream(cfg Config) (*Stream, error) {
-	c := cfg.withDefaults()
+	c := cfg.WithDefaults()
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}

@@ -80,7 +80,11 @@ type Config struct {
 	MaxSubmissions int
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns the config with every unset field resolved to
+// the value the generators use, so callers that size things from the
+// job shape (timeouts, reply bounds) see the widths and durations the
+// trace will actually draw.
+func (c Config) WithDefaults() Config {
 	c.Arrival = c.Arrival.withDefaults()
 	if c.Tenants <= 0 {
 		c.Tenants = 1
@@ -150,7 +154,7 @@ func tenantWeight(c Config, i int) float64 {
 
 // TenantPriority returns tenant i's admission priority under c.
 func TenantPriority(c Config, i int) int {
-	c = c.withDefaults()
+	c = c.WithDefaults()
 	return c.PriorityLevels - 1 - i*c.PriorityLevels/c.Tenants
 }
 
@@ -188,7 +192,7 @@ func boundedPareto(u, alpha, lo, hi float64) float64 {
 // other tenant. Seq fields are zero — the cross-tenant merge assigns
 // them.
 func TenantTrace(cfg Config, i int) []Submission {
-	c := cfg.withDefaults()
+	c := cfg.WithDefaults()
 	w := tenantWeight(c, i)
 	envelope := c.Arrival.MaxRate() * w
 	if envelope <= 0 {
@@ -238,7 +242,7 @@ func TenantTrace(cfg Config, i int) []Submission {
 // stream is a pure function of (Seed, tenant index) and the merge key
 // is total.
 func Trace(cfg Config) ([]Submission, error) {
-	c := cfg.withDefaults()
+	c := cfg.WithDefaults()
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}

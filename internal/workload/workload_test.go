@@ -108,7 +108,7 @@ func TestTraceShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := cfg.withDefaults()
+	c := cfg.WithDefaults()
 	byTenant := make([]int, cfg.Tenants)
 	for _, s := range trace {
 		if s.N < c.NMin || s.N > c.NMax {
