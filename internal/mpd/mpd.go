@@ -12,7 +12,6 @@ import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
-	"math"
 	"math/rand"
 	"sync"
 	"time"
@@ -863,43 +862,38 @@ func (m *MPD) aliveAny() {
 }
 
 // pingRound measures the RTT to every cached peer concurrently using the
-// application-level echo of §4.1 (never ICMP).
+// application-level echo of §4.1 (never ICMP). Peers that left the
+// cache since IDs was taken are skipped, not pinged.
 func (m *MPD) pingRound() {
 	ids := m.cache.IDs()
-	if len(ids) == 0 {
-		return
-	}
-	mb := m.rt.NewMailbox()
+	peers := make([]proto.PeerInfo, 0, len(ids))
 	for _, id := range ids {
-		id := id
-		info, ok := m.cache.Peer(id)
-		if !ok {
-			mb.Push(struct{}{})
-			continue
+		if info, ok := m.cache.Peer(id); ok {
+			peers = append(peers, info)
 		}
-		m.rt.Go("mpd.ping1."+m.cfg.Self.ID, func() {
-			defer mb.Push(struct{}{})
+	}
+	m.mu.Lock()
+	m.stats.PingsSent += int64(len(peers))
+	m.mu.Unlock()
+	pongs := vtime.Gather(m.rt, "mpd.ping1."+m.cfg.Self.ID, len(peers), m.cfg.ReserveTimeout,
+		func(i int) struct{} {
 			nonce := m.nextNonce()
 			t0 := m.rt.Now()
-			reply, err := transport.RequestReply(m.net, info.MPDAddr,
+			reply, err := transport.RequestReply(m.net, peers[i].MPDAddr,
 				transport.Message{Payload: proto.MustMarshal(&proto.Ping{Nonce: nonce})},
 				m.cfg.ReserveTimeout)
 			if err != nil {
-				return
+				return struct{}{}
 			}
 			var pong proto.Pong
 			err = proto.DecodeInto(reply.Payload, &pong)
 			reply.Release()
 			if err == nil && pong.Nonce == nonce {
-				m.cache.Observe(id, m.rt.Now().Sub(t0))
+				m.cache.Observe(peers[i].ID, m.rt.Now().Sub(t0))
 			}
+			return struct{}{}
 		})
-		m.mu.Lock()
-		m.stats.PingsSent++
-		m.mu.Unlock()
-	}
-	for range ids {
-		mb.PopTimeout(2*m.cfg.ReserveTimeout + 15*time.Second)
+	for range pongs { // every answer, or a stall
 	}
 }
 
@@ -925,6 +919,3 @@ func (m *MPD) newKey() string {
 	rng := m.rngLocked()
 	return fmt.Sprintf("%016x%016x", rng.Uint64(), rng.Uint64())
 }
-
-// mathCeil avoids importing math for one call site elsewhere.
-func mathCeil(v float64) int { return int(math.Ceil(v)) }

@@ -7,6 +7,7 @@ import (
 	"p2pmpi/internal/mpi"
 	"p2pmpi/internal/proto"
 	"p2pmpi/internal/transport"
+	"p2pmpi/internal/vtime"
 )
 
 func (m *MPD) acceptLoop() {
@@ -254,51 +255,39 @@ func (m *MPD) handleKill(key string) {
 // runJob executes all local processes, reports JobDone to the submitter
 // and releases the reservation.
 func (m *MPD) runJob(job *localJob) {
-	type outcome struct {
-		idx int
-		err error
-	}
-	mb := m.rt.NewMailbox()
-	for i, env := range job.envs {
-		i, env := i, env
-		m.rt.Go(fmt.Sprintf("proc.%s.g%d", m.cfg.Self.ID, env.Slot.Global), func() {
-			var err error
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						err = fmt.Errorf("program panic: %v", r)
-					}
-				}()
-				err = job.program(env)
+	done := &proto.JobDone{JobID: job.jobID, HostID: m.cfg.Self.ID,
+		Results: make([]proto.SlotResult, len(job.envs))}
+	// Each local process runs as its own actor. The wait has no bound:
+	// a program runs as long as it needs, and giving up on it is the
+	// submitter's timeout's job.
+	procs := vtime.Gather(m.rt, "proc."+m.cfg.Self.ID, len(job.envs), -1, func(i int) proto.SlotResult {
+		env := job.envs[i]
+		var err error
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					err = fmt.Errorf("program panic: %v", r)
+				}
 			}()
-			if env.comm != nil {
-				env.comm.Close()
-			}
-			mb.Push(outcome{idx: i, err: err})
-		})
-	}
-
-	done := &proto.JobDone{JobID: job.jobID, HostID: m.cfg.Self.ID}
-	results := make([]proto.SlotResult, len(job.envs))
-	for range job.envs {
-		v, ok := mb.Pop()
-		if !ok { // mailbox closed: daemon shutting down
-			break
+			err = job.program(env)
+		}()
+		if env.comm != nil {
+			env.comm.Close()
 		}
-		o := v.(outcome)
-		env := job.envs[o.idx]
 		sr := proto.SlotResult{
 			Rank:    env.Rank,
 			Replica: env.Replica,
-			OK:      o.err == nil,
+			OK:      err == nil,
 			Output:  append([]byte(nil), env.Out.Bytes()...),
 		}
-		if o.err != nil {
-			sr.Err = o.err.Error()
+		if err != nil {
+			sr.Err = err.Error()
 		}
-		results[o.idx] = sr
+		return sr
+	})
+	for i, sr := range procs {
+		done.Results[i] = sr
 	}
-	done.Results = results
 
 	// A crash between Start and completion aborts the job: the host was
 	// dead while the processes "ran", so it must not report results the

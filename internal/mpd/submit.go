@@ -3,16 +3,16 @@ package mpd
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
 	"time"
 
 	"p2pmpi/internal/core"
-	"p2pmpi/internal/latency"
 	"p2pmpi/internal/mpi"
 	"p2pmpi/internal/proto"
-	"p2pmpi/internal/replica"
 	"p2pmpi/internal/reservation"
 	"p2pmpi/internal/transport"
 	"p2pmpi/internal/vtime"
@@ -39,12 +39,10 @@ type JobSpec struct {
 	Exclude []string
 	// ReserveRetries enables backoff-retry brokering rounds: when the
 	// gathered offers cannot host the request, previously refused peers
-	// are re-asked up to this many times before the submission fails.
-	// Zero keeps the paper's one-shot §4.2 behaviour.
+	// are re-asked up to this many times, after a backoff of 2s doubled
+	// each round, before the submission fails. Zero keeps the paper's
+	// one-shot §4.2 behaviour.
 	ReserveRetries int
-	// ReserveBackoff is the base pause before a brokering retry, doubled
-	// each round (default 2s).
-	ReserveBackoff time.Duration
 	// OnAllocated, when set, is invoked with the computed assignment
 	// right after allocation succeeds and before the launch phases. The
 	// multi-job scheduler uses it to charge the placement to its slot
@@ -53,17 +51,14 @@ type JobSpec struct {
 	// FailureDetect enables the mid-run failure detector: while waiting
 	// for completion reports the submitter probes every silent host at
 	// this period and feeds the answers into one replica monitor per
-	// rank (internal/replica). A host whose replicas all go stale is
-	// declared lost: its unreported slots fail immediately, the peer is
-	// marked dead in the cache, and the submission either fails over to
-	// the surviving replicas or — when a rank has none left — returns
-	// ErrRanksLost right away instead of burning the rest of the
-	// timeout. Zero keeps the paper's passive wait-until-timeout
-	// behaviour.
+	// rank (internal/replica). A host whose replicas all go stale (two
+	// silent periods) is declared lost: its unreported slots fail
+	// immediately, the peer is marked dead in the cache, and the
+	// submission either fails over to the surviving replicas or — when
+	// a rank has none left — returns ErrRanksLost right away instead of
+	// burning the rest of the timeout. Zero keeps the paper's passive
+	// wait-until-timeout behaviour.
 	FailureDetect time.Duration
-	// FailurePings is how many detect periods a host may stay silent
-	// before its replicas are suspected (default 2).
-	FailurePings int
 	// Preemptable marks the job killable mid-run: hosting MPDs arm a
 	// kill channel per local process, and the submitter exposes a
 	// Preemption handle through OnPreempt. A killed job fails with
@@ -232,21 +227,36 @@ func (p *Preemption) markRunning() {
 // dead host times out (its crash already failed the reservation) and
 // handleKill is idempotent, so duplicates and losses are both safe.
 func (p *Preemption) sendKills() {
+	kill := &proto.KillJob{Key: p.key}
 	for _, h := range p.hosts {
-		h := h
-		p.m.rt.Go("mpd.kill."+p.m.cfg.Self.ID, func() {
-			if reply, err := transport.RequestReply(p.m.net, h.MPDAddr,
-				transport.Message{Payload: proto.MustMarshal(&proto.KillJob{Key: p.key})},
-				p.m.cfg.ReserveTimeout); err == nil {
-				reply.Release()
-			}
-		})
+		p.m.notify(h.MPDAddr, kill)
 	}
 }
 
-// Submit runs the complete §4.2 procedure. It must be called from an
-// actor/goroutine of the daemon's runtime and blocks until the job
-// completes or times out.
+// submission is one Submit call's state, filled in phase by phase.
+type submission struct {
+	m       *MPD
+	spec    JobSpec
+	need    int // n×r process slots
+	started time.Time
+
+	lats      map[string]time.Duration // candidate latencies (booking)
+	key       string                   // reservation hash key
+	jobID     string
+	conflicts reservation.Conflicts
+	slist     []reservation.Offer // kept offers, ascending latency
+	asg       *core.Assignment
+	table     []proto.Slot
+	used      []proto.PeerInfo // hosts with u_i > 0, in slist order
+	pre       *Preemption      // nil unless spec.Preemptable
+	done      vtime.Mailbox    // this job's JobDone reports
+}
+
+// Submit runs the complete §4.2 procedure as a fixed sequence of
+// phases: candidates (booking), reserve (RS-RS brokering), allocate,
+// launch (Prepare, then Start), collect and result. It must be called
+// from an actor/goroutine of the daemon's runtime and blocks until the
+// job completes or times out.
 func (m *MPD) Submit(spec JobSpec) (*JobResult, error) {
 	if spec.N < 1 || spec.R < 1 {
 		return nil, core.ErrBadRequest
@@ -257,22 +267,52 @@ func (m *MPD) Submit(spec JobSpec) (*JobResult, error) {
 	if _, ok := m.cfg.Programs[spec.Program]; !ok {
 		return nil, fmt.Errorf("mpd: program %q not in registry", spec.Program)
 	}
-	started := m.rt.Now()
-	need := spec.N * spec.R
+	s := &submission{m: m, spec: spec, need: spec.N * spec.R, started: m.rt.Now()}
+	if err := s.reserve(s.candidates()); err != nil {
+		return nil, err
+	}
+	if err := s.allocate(); err != nil {
+		return nil, err
+	}
 
-	// Step 2 (booking): make sure we know enough nodes; refresh the
-	// cached list from the supernode if not. A supernode with bounded
-	// replies (MaxPeersReturned) ships one rotating window per fetch, so
-	// keep fetching while the cache grows toward the overbooked booking
-	// target (not the bare demand — stopping at need would strip the
-	// overbook margin that absorbs refusals and dead peers). A single
-	// refresh would cap the candidate list at one window regardless of
-	// how many hosts the overlay actually has. The loop ends when the
-	// target is reached or two consecutive windows teach nothing (the
-	// overlay has no more hosts to offer); the iteration cap scales with
-	// the target and only backstops a pathological supernode.
-	fetchTarget := mathCeil(float64(need)*m.cfg.Overbook) + 2
-	for stalls, i := 0, 0; i < 2*fetchTarget+8 && stalls < 2 && m.cache.Size() < fetchTarget; i++ {
+	// Register the completion mailbox before anything can finish.
+	s.done = m.rt.NewMailbox()
+	m.mu.Lock()
+	if m.pendingDone == nil {
+		m.pendingDone = make(map[string]vtime.Mailbox)
+	}
+	m.pendingDone[s.jobID] = s.done
+	m.mu.Unlock()
+	defer func() {
+		m.mu.Lock()
+		delete(m.pendingDone, s.jobID)
+		m.mu.Unlock()
+	}()
+
+	if err := s.launch(); err != nil {
+		return nil, err
+	}
+	return s.result(s.collect())
+}
+
+// candidates is booking (step 2): make sure the cache knows enough
+// nodes, then rank them by ascending latency and cut the list at the
+// overbooked target need×Overbook+2, skipping hosts the caller
+// excluded (the scheduler's live view of saturated hosts).
+//
+// A supernode with bounded replies (MaxPeersReturned) ships one
+// rotating window per fetch, so the cache is refreshed while it grows
+// toward the overbooked target (not the bare demand — stopping at need
+// would strip the overbook margin that absorbs refusals and dead
+// peers). A single refresh would cap the candidate list at one window
+// regardless of how many hosts the overlay actually has. The loop ends
+// when the target is reached or two consecutive windows teach nothing
+// (the overlay has no more hosts to offer); the iteration cap scales
+// with the target and only backstops a pathological supernode.
+func (s *submission) candidates() []proto.PeerInfo {
+	m := s.m
+	target := int(math.Ceil(float64(s.need)*m.cfg.Overbook)) + 2
+	for stalls, i := 0, 0; i < 2*target+8 && stalls < 2 && m.cache.Size() < target; i++ {
 		prev := m.cache.Size()
 		if err := m.fetchAndUpdate(); err != nil {
 			break
@@ -284,46 +324,44 @@ func (m *MPD) Submit(spec JobSpec) (*JobResult, error) {
 		}
 	}
 
-	// Sort by ascending latency and overbook, skipping hosts the caller
-	// excluded (the scheduler's live view of saturated hosts).
-	excluded := make(map[string]bool, len(spec.Exclude))
-	for _, id := range spec.Exclude {
+	excluded := make(map[string]bool, len(s.spec.Exclude))
+	for _, id := range s.spec.Exclude {
 		excluded[id] = true
 	}
 	ranked := m.cache.RankedView() // read-only iteration: no copy
-	candidates := make([]proto.PeerInfo, 0, len(ranked)+1)
-	lats := make(map[string]time.Duration, len(ranked)+1)
+	cands := make([]proto.PeerInfo, 0, len(ranked)+1)
+	s.lats = make(map[string]time.Duration, len(ranked)+1)
 	if m.cfg.P > 0 && !excluded[m.cfg.Self.ID] {
 		// The submitter's own machine is a peer too, at zero latency.
-		candidates = append(candidates, m.cfg.Self)
-		lats[m.cfg.Self.ID] = 0
+		cands = append(cands, m.cfg.Self)
+		s.lats[m.cfg.Self.ID] = 0
 	}
 	for _, rp := range ranked {
 		if excluded[rp.Info.ID] {
 			continue
 		}
-		candidates = append(candidates, rp.Info)
-		lats[rp.Info.ID] = rp.Latency
+		cands = append(cands, rp.Info)
+		s.lats[rp.Info.ID] = rp.Latency
 	}
-	book := mathCeil(float64(need)*m.cfg.Overbook) + 2
-	if book > len(candidates) {
-		book = len(candidates)
-	}
-	candidates = candidates[:book]
+	return cands[:min(target, len(cands))]
+}
 
-	// Step 3 (RS-RS brokering) with a unique hash key: an atomic
-	// multi-host acquisition that keeps the n×r closest offers, cancels
-	// the surplus, and — when the spec allows retries — re-asks refused
-	// peers after a backoff instead of failing outright.
-	key := m.newKey()
-	jobID := m.newKey()[:16]
+// reserve is RS-RS brokering (steps 3-5) under a fresh hash key: an
+// atomic multi-host acquisition that keeps the n×r closest offers,
+// cancels the surplus, and — when the spec allows retries — re-asks
+// refused peers after a backoff instead of failing outright. Peers
+// that stayed silent are marked dead in the cache either way.
+func (s *submission) reserve(cands []proto.PeerInfo) error {
+	m, spec := s.m, s.spec
+	s.key = m.newKey()
+	s.jobID = m.newKey()[:16]
 	m.mu.Lock()
 	m.stats.JobsSubmitted++
 	m.mu.Unlock()
 	var enough func([]reservation.Offer) bool
 	if spec.ReserveRetries > 0 {
-		// Retry until the offers pass the §4.2 step 6 feasibility bar:
-		// at least r hosts and Σ min(P_i, n) ≥ n×r processes.
+		// Retry until the offers pass the step 6 feasibility bar: at
+		// least r hosts and Σ min(P_i, n) ≥ n×r processes.
 		enough = func(offers []reservation.Offer) bool {
 			if len(offers) < spec.R {
 				return false
@@ -332,71 +370,71 @@ func (m *MPD) Submit(spec JobSpec) (*JobResult, error) {
 			for _, o := range offers {
 				total += core.Capacity(o.P, spec.N)
 			}
-			return total >= need
+			return total >= s.need
 		}
 	}
-	res, conflicts, acqErr := reservation.Acquire(m.rt, m.net, candidates, reservation.AcquireSpec{
-		Req:     proto.Reserve{Key: key, JobID: jobID, Submitter: m.cfg.Self, N: spec.N},
+	res, conflicts, err := reservation.Acquire(m.rt, m.net, cands, reservation.AcquireSpec{
+		Req:     proto.Reserve{Key: s.key, JobID: s.jobID, Submitter: m.cfg.Self, N: spec.N},
 		Timeout: m.cfg.ReserveTimeout,
-		Need:    need,
+		Need:    s.need,
 		Enough:  enough,
 		Retries: spec.ReserveRetries,
-		Backoff: spec.ReserveBackoff,
 	})
-
-	// Step 5: mark silent peers dead in the cache.
+	s.conflicts = conflicts
 	for _, d := range res.Dead {
 		if d.ID != m.cfg.Self.ID {
 			m.cache.MarkDead(d.ID)
 		}
 	}
-	if acqErr != nil {
-		return nil, fmt.Errorf("%w: %v", ErrNotEnoughPeers, acqErr)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrNotEnoughPeers, err)
 	}
+	s.slist = res.Offers // Acquire already cancelled everything beyond n×r
+	return nil
+}
 
-	// Step 6 (allocation): slist is the kept offer list, in ascending
-	// latency order (Acquire already cancelled everything beyond n×r).
-	slist := res.Offers
-
-	hostSlots := make([]core.HostSlot, 0, len(slist))
-	for _, o := range slist {
+// allocate is step 6: place the n×r processes over slist with the
+// spec's strategy and build the slot table, in which process g listens
+// on ProcBasePort+g at its host. Hosts with u_i = 0 get their
+// reservations cancelled (§4.3). The preemption handle exists from
+// here on: a kill during the launch phases only sets the mark, which
+// launch checks; one during the run fans out KillJob.
+func (s *submission) allocate() error {
+	m, spec := s.m, s.spec
+	cancel := &proto.Cancel{Key: s.key}
+	hostSlots := make([]core.HostSlot, 0, len(s.slist))
+	for _, o := range s.slist {
 		hostSlots = append(hostSlots, core.HostSlot{
 			ID:      o.Peer.ID,
 			Site:    o.Peer.Site,
 			P:       o.P,
-			Latency: lats[o.Peer.ID],
+			Latency: s.lats[o.Peer.ID],
 		})
 	}
 	asg, err := core.Allocate(hostSlots, spec.N, spec.R, spec.Strategy)
 	if err != nil {
-		for _, o := range slist {
-			m.cancelReservation(o.Peer, key)
+		for _, o := range s.slist {
+			m.notify(o.Peer.RSAddr, cancel)
 		}
-		return nil, fmt.Errorf("%w: %v", ErrNotEnoughPeers, err)
+		return fmt.Errorf("%w: %v", ErrNotEnoughPeers, err)
 	}
+	s.asg = asg
 	if spec.OnAllocated != nil {
 		spec.OnAllocated(asg)
 	}
 
-	// Build the slot table; process g listens on ProcBasePort+g at its
-	// host. Hosts with u_i = 0 get their reservations cancelled (§4.3).
-	infoByID := make(map[string]proto.PeerInfo, len(slist))
-	for _, o := range slist {
-		infoByID[o.Peer.ID] = o.Peer
-	}
-	var table []proto.Slot
-	var usedHosts []proto.PeerInfo
+	// core.Allocate guarantees asg.Hosts echoes slist index for index.
 	global := 0
 	for i, placements := range asg.Procs {
+		info := s.slist[i].Peer
 		if asg.U[i] == 0 {
-			m.cancelReservation(infoByID[asg.Hosts[i].ID], key)
+			m.notify(info.RSAddr, cancel)
 			continue
 		}
-		info := infoByID[asg.Hosts[i].ID]
-		usedHosts = append(usedHosts, info)
+		s.used = append(s.used, info)
 		host := hostOf(info.MPDAddr)
 		for _, pl := range placements {
-			table = append(table, proto.Slot{
+			s.table = append(s.table, proto.Slot{
 				Rank: pl.Rank, Replica: pl.Replica, Global: global,
 				HostID: info.ID,
 				Addr:   fmt.Sprintf("%s:%d", host, m.cfg.ProcBasePort+global),
@@ -404,454 +442,55 @@ func (m *MPD) Submit(spec JobSpec) (*JobResult, error) {
 			global++
 		}
 	}
-
-	// The preemption handle exists from allocation onward: a kill
-	// during the launch phases only sets the mark (checked at each
-	// phase boundary below); one during the run fans out KillJob.
-	var pre *Preemption
 	if spec.Preemptable {
-		pre = &Preemption{m: m, key: key, hosts: usedHosts}
+		s.pre = &Preemption{m: m, key: s.key, hosts: s.used}
 		if spec.OnPreempt != nil {
-			spec.OnPreempt(pre)
+			spec.OnPreempt(s.pre)
 		}
 	}
+	return nil
+}
 
-	// Register the completion mailbox before anything can finish.
-	doneMB := m.rt.NewMailbox()
-	m.mu.Lock()
-	if m.pendingDone == nil {
-		m.pendingDone = make(map[string]vtime.Mailbox)
+// launch is the two-phase launch (steps 6-8): Prepare on every used
+// host, the kill check, then Start everywhere. A failure unwinds once,
+// with a Cancel to both the RS and the MPD of each host — which drops
+// the RS hold if the job never got past brokering there, and the
+// prepared-but-unstarted application if Prepare already consumed the
+// hold. A failed Prepare, or a kill during it, unwinds every kept
+// offer (nothing started anywhere, so no kill frames are needed); a
+// failed Start unwinds the used hosts, where hosts that did receive
+// Start run to completion and release themselves.
+func (s *submission) launch() error {
+	m := s.m
+	var unwind []proto.PeerInfo
+	err := s.prepare()
+	if err == nil && s.pre != nil && s.pre.Killed() {
+		err = ErrPreempted
 	}
-	m.pendingDone[jobID] = doneMB
-	m.mu.Unlock()
-	defer func() {
-		m.mu.Lock()
-		delete(m.pendingDone, jobID)
-		m.mu.Unlock()
-	}()
-
-	// Phase one: Prepare on every used host (step 6-7).
-	prep := &proto.Prepare{
-		Key: key, JobID: jobID, Program: spec.Program, Args: spec.Args,
-		N: spec.N, R: spec.R, Table: table,
-		SubmitterMPD: m.cfg.Self.MPDAddr,
-		Deadline:     spec.Timeout,
-		Algorithms:   packAlgorithms(spec.Algorithms),
-		Preemptable:  spec.Preemptable,
-	}
-	if err := m.fanOutReady(usedHosts, prep); err != nil {
-		// Hosts whose Prepare succeeded already consumed their
-		// reservation into a running application: cancelLaunch unwinds
-		// both the RS hold and the prepared job.
-		for _, o := range slist {
-			m.cancelLaunch(o.Peer, key)
+	if err != nil {
+		for _, o := range s.slist {
+			unwind = append(unwind, o.Peer)
 		}
-		return nil, err
+	} else if err = s.start(); err != nil {
+		unwind = s.used
 	}
-	if pre != nil && pre.Killed() {
-		// Killed during phase one: nothing started anywhere, so unwind
-		// exactly like a failed Prepare — no kill frames needed.
-		for _, o := range slist {
-			m.cancelLaunch(o.Peer, key)
+	if err != nil {
+		cancel := &proto.Cancel{Key: s.key}
+		for _, h := range unwind {
+			m.notify(h.RSAddr, cancel)
+			m.notify(h.MPDAddr, cancel)
 		}
-		return nil, ErrPreempted
+		return err
 	}
-
-	// Phase two: Start everywhere (step 8).
-	if err := m.fanOutStart(usedHosts, key); err != nil {
-		// Hosts that did receive Start run to completion and release
-		// themselves; abortUnstarted is a no-op there.
-		for _, h := range usedHosts {
-			m.cancelLaunch(h, key)
-		}
-		return nil, err
-	}
-	if pre != nil {
+	if s.pre != nil {
 		// Running from here on: a kill marked during the launch phases
 		// is dispatched now, later ones go out directly.
-		pre.markRunning()
+		s.pre.markRunning()
 	}
-
-	// Collect one JobDone per used host — with spec.FailureDetect set,
-	// under the watch of the mid-run failure detector.
-	co := m.collectResults(spec, jobID, usedHosts, table, doneMB)
-
-	out := &JobResult{
-		JobID:      jobID,
-		Key:        key,
-		Assignment: asg,
-		Duration:   m.rt.Now().Sub(started),
-		Reserve:    conflicts,
-		Failover:   co.failover,
-	}
-	okReplicas := make(map[int][]int, spec.N) // rank -> replicas that delivered
-	for _, s := range table {
-		slot := [2]int{s.Rank, s.Replica}
-		if sr, ok := co.resultBySlot[slot]; ok {
-			out.Results = append(out.Results, sr)
-			if sr.OK {
-				okReplicas[sr.Rank] = append(okReplicas[sr.Rank], sr.Replica)
-			}
-			continue
-		}
-		reason := "no completion report from host " + s.HostID
-		if why, lost := co.lostSlots[slot]; lost {
-			reason = why
-		}
-		out.Results = append(out.Results, proto.SlotResult{
-			Rank: s.Rank, Replica: s.Replica, OK: false, Err: reason,
-		})
-	}
-	sort.Slice(out.Results, func(i, j int) bool {
-		if out.Results[i].Rank != out.Results[j].Rank {
-			return out.Results[i].Rank < out.Results[j].Rank
-		}
-		return out.Results[i].Replica < out.Results[j].Replica
-	})
-
-	// Failover accounting: a rank failed over when it delivered but its
-	// leader (replica 0) was not among the survivors. RanksLost comes
-	// from the detector (collectResults) — only ranks *confirmed*
-	// unable to deliver count, not ranks merely pending when an early
-	// abort cut the wait short.
-	for rank := 0; rank < spec.N; rank++ {
-		oks := okReplicas[rank]
-		if len(oks) == 0 {
-			continue
-		}
-		leader := oks[0]
-		for _, r := range oks[1:] {
-			if r < leader {
-				leader = r
-			}
-		}
-		if leader > 0 {
-			out.Failover.Failovers++
-		}
-	}
-	// Preemption outranks the detector's verdict: a killed job's ranks
-	// are "lost" by design, and reporting them as ErrRanksLost would
-	// send the job back through churn's re-book path — undoing the
-	// eviction the scheduler just paid for.
-	if pre != nil && pre.Killed() {
-		return out, fmt.Errorf("%w: job %s", ErrPreempted, jobID)
-	}
-	if spec.FailureDetect > 0 && out.Failover.RanksLost > 0 {
-		return out, fmt.Errorf("%w: %d of %d ranks", ErrRanksLost, out.Failover.RanksLost, spec.N)
-	}
-	return out, nil
+	return nil
 }
 
-// collectOutcome is what collectResults hands back to Submit.
-type collectOutcome struct {
-	resultBySlot map[[2]int]proto.SlotResult
-	lostSlots    map[[2]int]string // unreported slots on hosts declared dead
-	failover     FailoverStats
-}
-
-// collectResults waits for one JobDone per used host, bounded by the
-// job timeout. When spec.FailureDetect > 0 it interleaves a §3.2-style
-// failure detector: every detect period the still-silent hosts are
-// probed with application-level pings, answers feed one replica monitor
-// per rank (replica.NewMonitor), and Suspect declares replicas on stale
-// hosts dead. A host whose replicas are all dead is written off — its
-// pending slots fail, the peer is marked dead in the cache — and the
-// wait ends early once either every host is accounted for or some rank
-// has no surviving replica left.
-func (m *MPD) collectResults(spec JobSpec, jobID string, usedHosts []proto.PeerInfo,
-	table []proto.Slot, doneMB vtime.Mailbox) collectOutcome {
-
-	detect := spec.FailureDetect
-	pingsNeeded := spec.FailurePings
-	if pingsNeeded <= 0 {
-		pingsNeeded = 2
-	}
-	deadline := m.rt.Now().Add(spec.Timeout)
-
-	co := collectOutcome{
-		resultBySlot: make(map[[2]int]proto.SlotResult),
-		lostSlots:    make(map[[2]int]string),
-	}
-	outstanding := make(map[string]proto.PeerInfo, len(usedHosts))
-	hostInfo := make(map[string]proto.PeerInfo, len(usedHosts))
-	for _, h := range usedHosts {
-		outstanding[h.ID] = h
-		hostInfo[h.ID] = h
-	}
-	slotsByHost := make(map[string][]proto.Slot, len(usedHosts))
-	pending := make([]int, spec.N) // undecided slots per rank
-	okCount := make([]int, spec.N)
-	for _, s := range table {
-		slotsByHost[s.HostID] = append(slotsByHost[s.HostID], s)
-		pending[s.Rank]++
-	}
-	var groups []*replica.Group
-	if detect > 0 {
-		now := m.rt.Now()
-		// A replica is suspected after missing pingsNeeded whole probe
-		// periods (plus the in-flight probe's own timeout).
-		failTO := time.Duration(pingsNeeded)*detect + m.cfg.ReserveTimeout
-		groups = make([]*replica.Group, spec.N)
-		for k := range groups {
-			groups[k] = replica.NewMonitor(spec.R, failTO, now)
-		}
-	}
-
-	// writtenOff records hosts the detector declared lost, so that only
-	// a report from an actually written-off host retracts a loss — a
-	// merely duplicated JobDone (the host reported twice: network-level
-	// duplication, or a retransmit whose first copy arrived) must not
-	// decrement HostsLost for a write-off that never happened.
-	writtenOff := make(map[string]bool)
-
-	// ingest folds one completion report into the bookkeeping. A report
-	// from a host the detector already wrote off retracts the loss:
-	// delivered work counts, and the report itself proves the peer
-	// alive, so the write-off's cache eviction is reverted too.
-	ingest := func(d *proto.JobDone) {
-		if _, waiting := outstanding[d.HostID]; !waiting {
-			if writtenOff[d.HostID] {
-				delete(writtenOff, d.HostID)
-				co.failover.HostsLost--
-				if info, ok := hostInfo[d.HostID]; ok {
-					m.cache.Update([]proto.PeerInfo{info})
-				}
-			}
-		}
-		delete(outstanding, d.HostID)
-		for _, sr := range d.Results {
-			if sr.Rank < 0 || sr.Rank >= spec.N || sr.Replica < 0 || sr.Replica >= spec.R {
-				continue
-			}
-			slot := [2]int{sr.Rank, sr.Replica}
-			if _, seen := co.resultBySlot[slot]; seen {
-				continue // duplicate report
-			}
-			if _, wroteOff := co.lostSlots[slot]; wroteOff {
-				delete(co.lostSlots, slot) // pending already settled
-			} else {
-				pending[sr.Rank]--
-			}
-			co.resultBySlot[slot] = sr
-			if sr.OK {
-				okCount[sr.Rank]++
-			} else if groups != nil {
-				groups[sr.Rank].MarkDead(sr.Replica)
-			}
-		}
-	}
-
-	// probeRound runs one detector pass over the still-silent hosts and
-	// reports whether some rank is now confirmed unable to deliver.
-	// Hosts are visited in sorted order: every probe consumes seeded
-	// nonce and jitter draws, and map order would leak runtime
-	// randomization into the virtual timeline.
-	probeRound := func() (rankLost bool) {
-		ids := sortedHostIDs(outstanding)
-		// Capture each replica's incarnation epoch before soliciting
-		// heartbeats: an answer produced by a pre-failover incarnation
-		// (late, duplicated, or raced by a death declaration while the
-		// probes were in flight) then fails the epoch check in
-		// HeartbeatAt instead of resurrecting a written-off replica.
-		epochs := make(map[[2]int]uint64, len(ids))
-		for _, id := range ids {
-			for _, s := range slotsByHost[id] {
-				epochs[[2]int{s.Rank, s.Replica}] = groups[s.Rank].Epoch(s.Replica)
-			}
-		}
-		answers := m.probeHosts(ids, outstanding, jobID)
-		co.failover.Probes += len(ids)
-		// Completion reports that arrived while the probes were in
-		// flight take precedence over the probes' verdicts: a host that
-		// finished mid-round answers Known=false (the job is gone from
-		// its table — because it completed), and judging that silence
-		// without draining the queue would write off delivered work.
-		for doneMB.Len() > 0 {
-			if v, ok := doneMB.Pop(); ok {
-				ingest(v.(*proto.JobDone))
-			}
-		}
-		now := m.rt.Now()
-		for _, id := range ids {
-			if _, waiting := outstanding[id]; !waiting {
-				continue // reported during the probe round
-			}
-			switch answers[id] {
-			case probeAlive:
-				for _, s := range slotsByHost[id] {
-					groups[s.Rank].HeartbeatAt(s.Replica, epochs[[2]int{s.Rank, s.Replica}], now)
-				}
-			case probeGone:
-				// The host answers but no longer knows the job: it
-				// crashed and rebooted mid-run. Its processes are
-				// definitively gone — no staleness threshold needed.
-				for _, s := range slotsByHost[id] {
-					groups[s.Rank].MarkDead(s.Replica)
-				}
-			case probeSilent:
-				// No heartbeat; the staleness window decides below.
-			}
-		}
-		for _, g := range groups {
-			g.Suspect(now)
-		}
-		for _, id := range ids {
-			if _, waiting := outstanding[id]; !waiting {
-				continue // reported during the probe round
-			}
-			lost := true
-			for _, s := range slotsByHost[id] {
-				if groups[s.Rank].Alive(s.Replica) {
-					lost = false
-					break
-				}
-			}
-			if !lost {
-				continue
-			}
-			delete(outstanding, id)
-			writtenOff[id] = true
-			co.failover.HostsLost++
-			m.cache.MarkDead(id)
-			for _, s := range slotsByHost[id] {
-				slot := [2]int{s.Rank, s.Replica}
-				if _, done := co.resultBySlot[slot]; done {
-					continue
-				}
-				co.lostSlots[slot] = "host " + id + " failed mid-run (detector)"
-				pending[s.Rank]--
-			}
-		}
-		// Early exit: a rank with no delivered and no pending replica
-		// can never succeed, so waiting out the rest of the timeout
-		// only inflates the measured completion time of a lost job.
-		for rank := 0; rank < spec.N; rank++ {
-			if okCount[rank] == 0 && pending[rank] <= 0 {
-				return true
-			}
-		}
-		return false
-	}
-
-	// The probe cadence is a fixed schedule, not a silence timer: a
-	// steady trickle of completion reports arriving under one detect
-	// period apart must not postpone detection of an early host death.
-	nextProbe := m.rt.Now().Add(detect)
-collect:
-	for len(outstanding) > 0 {
-		wait := deadline.Sub(m.rt.Now())
-		if wait <= 0 {
-			break // deadline reached: a zero-wait pop would spin forever
-		}
-		step := wait
-		if detect > 0 {
-			until := nextProbe.Sub(m.rt.Now())
-			if until <= 0 {
-				if probeRound() {
-					break collect
-				}
-				nextProbe = m.rt.Now().Add(detect)
-				continue
-			}
-			if until < step {
-				step = until
-			}
-		}
-		v, err := doneMB.PopTimeout(step)
-		if err == nil {
-			ingest(v.(*proto.JobDone))
-			continue
-		}
-		if err != vtime.ErrTimeout {
-			break collect // mailbox closed: the daemon is shutting down
-		}
-		// detect <= 0: passive wait, only the deadline ends it.
-		// detect > 0: the pop timed out at the probe fence — the next
-		// iteration runs the round.
-	}
-	// A rank is confirmed lost when no replica delivered and none is
-	// still pending — every copy reported failure or was written off
-	// with its host. Ranks merely pending (deadline expiry, early
-	// abort for another rank's loss) are not counted: their fate is
-	// unknown, and the legacy no-report accounting covers them.
-	for rank := 0; rank < spec.N; rank++ {
-		if okCount[rank] == 0 && pending[rank] <= 0 {
-			co.failover.RanksLost++
-		}
-	}
-	return co
-}
-
-// sortedHostIDs returns the map's keys in ascending order.
-func sortedHostIDs(hosts map[string]proto.PeerInfo) []string {
-	ids := make([]string, 0, len(hosts))
-	for id := range hosts {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
-// probeResult classifies one detector probe.
-type probeResult int
-
-const (
-	// probeSilent: no answer before the timeout (host down or
-	// partitioned) — staleness accumulates.
-	probeSilent probeResult = iota
-	// probeAlive: the host still hosts the job — a fresh heartbeat.
-	probeAlive
-	// probeGone: the host answers but no longer knows the job — it
-	// crashed and rebooted mid-run, so its processes are dead for sure.
-	probeGone
-)
-
-// probeHosts sends one JobPing to every given host concurrently — the
-// detector's application-level heartbeat (§4.1-style, never ICMP) at
-// job granularity, so a host reboot cannot masquerade as process
-// liveness.
-func (m *MPD) probeHosts(ids []string, hosts map[string]proto.PeerInfo, jobID string) map[string]probeResult {
-	type ans struct {
-		id  string
-		res probeResult
-	}
-	mb := m.rt.NewMailbox()
-	for _, id := range ids {
-		id, info := id, hosts[id]
-		m.rt.Go("mpd.detect."+m.cfg.Self.ID, func() {
-			nonce := m.nextNonce()
-			a := ans{id: id, res: probeSilent}
-			reply, err := transport.RequestReply(m.net, info.MPDAddr,
-				transport.Message{Payload: proto.MustMarshal(&proto.JobPing{Nonce: nonce, JobID: jobID})},
-				m.cfg.ReserveTimeout)
-			if err == nil {
-				var pong proto.JobPong
-				perr := proto.DecodeInto(reply.Payload, &pong)
-				reply.Release()
-				if perr == nil && pong.Nonce == nonce {
-					if pong.Known {
-						a.res = probeAlive
-					} else {
-						a.res = probeGone
-					}
-				}
-			}
-			mb.Push(a)
-		})
-	}
-	answers := make(map[string]probeResult, len(ids))
-	for range ids {
-		v, err := mb.PopTimeout(2*m.cfg.ReserveTimeout + 15*time.Second)
-		if err != nil {
-			break
-		}
-		a := v.(ans)
-		answers[a.id] = a.res
-	}
-	return answers
-}
-
-// fanOutReady sends Prepare to every host and fails if any is not
+// prepare sends Prepare to every used host and fails unless all answer
 // Ready. Error classification (the transport.Retryable audit): a
 // retryable failure — the exchange timed out or the listener was
 // briefly unreachable — is re-attempted under the daemon's retry
@@ -863,80 +502,146 @@ func (m *MPD) probeHosts(ids []string, hosts map[string]proto.PeerInfo, jobID st
 // does not select it again — at launch time a host that stays silent
 // through every retry is indistinguishable from a dead one, and the
 // cache entry is re-learned on the next refresh either way.
-func (m *MPD) fanOutReady(hosts []proto.PeerInfo, prep *proto.Prepare) error {
-	type ans struct {
-		host string
-		ok   bool
-		dead bool
-		why  string
+func (s *submission) prepare() error {
+	m, spec := s.m, s.spec
+	prep := &proto.Prepare{
+		Key: s.key, JobID: s.jobID, Program: spec.Program, Args: spec.Args,
+		N: spec.N, R: spec.R, Table: s.table,
+		SubmitterMPD: m.cfg.Self.MPDAddr,
+		Deadline:     spec.Timeout,
+		Algorithms:   packAlgorithms(spec.Algorithms),
+		Preemptable:  spec.Preemptable,
 	}
-	mb := m.rt.NewMailbox()
-	for _, h := range hosts {
-		h := h
-		m.rt.Go("mpd.prepare."+m.cfg.Self.ID, func() {
-			a := ans{host: h.ID}
+	type ready struct {
+		ok, dead bool
+		why      string
+	}
+	answers := vtime.Gather(m.rt, "mpd.prepare."+m.cfg.Self.ID, len(s.used),
+		m.rpcDeadline(m.cfg.PrepareTimeout), func(i int) (a ready) {
+			addr := s.used[i].MPDAddr
 			var reply transport.Message
-			err := m.withRetry(h.MPDAddr, func() error {
+			err := m.withRetry(addr, func() error {
 				var e error
-				reply, e = transport.RequestReply(m.net, h.MPDAddr,
+				reply, e = transport.RequestReply(m.net, addr,
 					transport.Message{Payload: proto.MustMarshal(prep)}, m.cfg.PrepareTimeout)
 				return e
 			})
 			if err != nil {
-				a.dead, a.why = true, err.Error()
-			} else {
-				var rdy proto.Ready
-				perr := proto.DecodeInto(reply.Payload, &rdy)
-				reply.Release()
-				if perr == nil {
-					a.ok, a.why = rdy.OK, rdy.Reason
-				}
+				return ready{dead: true, why: err.Error()}
 			}
-			mb.Push(a)
+			var rdy proto.Ready
+			perr := proto.DecodeInto(reply.Payload, &rdy)
+			reply.Release()
+			if perr == nil {
+				a.ok, a.why = rdy.OK, rdy.Reason
+			}
+			return a
 		})
-	}
 	var firstErr error
-	for range hosts {
-		v, err := mb.PopTimeout(2*m.rpcDeadline(m.cfg.PrepareTimeout) + 15*time.Second)
-		if err != nil {
-			return fmt.Errorf("%w: prepare fan-out stalled", ErrLaunchFailed)
-		}
-		a := v.(ans)
-		if a.dead && a.host != m.cfg.Self.ID {
-			m.cache.MarkDead(a.host)
+	got := 0
+	for i, a := range answers {
+		got++
+		host := s.used[i].ID
+		if a.dead && host != m.cfg.Self.ID {
+			m.cache.MarkDead(host)
 		}
 		if !a.ok && firstErr == nil {
-			firstErr = fmt.Errorf("%w: host %s: %s", ErrLaunchFailed, a.host, a.why)
+			firstErr = fmt.Errorf("%w: host %s: %s", ErrLaunchFailed, host, a.why)
 		}
+	}
+	if got < len(s.used) {
+		return fmt.Errorf("%w: prepare fan-out stalled", ErrLaunchFailed)
 	}
 	return firstErr
 }
 
-// fanOutStart sends Start to every host and waits for the acks.
-// Retryable failures re-send under the daemon's retry policy —
+// start sends Start to every used host and stops at the first failed
+// ack. Retryable failures re-send under the daemon's retry policy —
 // handleStart is idempotent (a duplicate Start on a started job just
 // acks), so a lost StartAck cannot double-launch.
-func (m *MPD) fanOutStart(hosts []proto.PeerInfo, key string) error {
-	mb := m.rt.NewMailbox()
-	for _, h := range hosts {
-		h := h
-		m.rt.Go("mpd.start."+m.cfg.Self.ID, func() {
-			err := m.withRetry(h.MPDAddr, func() error {
-				_, e := transport.RequestReply(m.net, h.MPDAddr,
-					transport.Message{Payload: proto.MustMarshal(&proto.Start{Key: key})},
+func (s *submission) start() error {
+	m := s.m
+	acks := vtime.Gather(m.rt, "mpd.start."+m.cfg.Self.ID, len(s.used),
+		m.rpcDeadline(m.cfg.StartTimeout), func(i int) bool {
+			addr := s.used[i].MPDAddr
+			return m.withRetry(addr, func() error {
+				_, e := transport.RequestReply(m.net, addr,
+					transport.Message{Payload: proto.MustMarshal(&proto.Start{Key: s.key})},
 					m.cfg.StartTimeout)
 				return e
-			})
-			mb.Push(err == nil)
+			}) == nil
 		})
-	}
-	for range hosts {
-		v, err := mb.PopTimeout(2*m.rpcDeadline(m.cfg.StartTimeout) + 15*time.Second)
-		if err != nil || !v.(bool) {
-			return fmt.Errorf("%w: start fan-out failed", ErrLaunchFailed)
+	acked := 0
+	for _, ok := range acks {
+		if !ok {
+			break
 		}
+		acked++
+	}
+	if acked < len(s.used) {
+		return fmt.Errorf("%w: start fan-out failed", ErrLaunchFailed)
 	}
 	return nil
+}
+
+// result assembles the JobResult: one entry per table slot, sorted by
+// (rank, replica), with the failover accounting and the verdict.
+func (s *submission) result(c *collector) (*JobResult, error) {
+	spec := s.spec
+	out := &JobResult{
+		JobID:      s.jobID,
+		Key:        s.key,
+		Assignment: s.asg,
+		Duration:   s.m.rt.Now().Sub(s.started),
+		Reserve:    s.conflicts,
+		Failover:   c.failover,
+	}
+	okReplicas := make(map[int][]int, spec.N) // rank -> replicas that delivered
+	for _, slot := range s.table {
+		key := [2]int{slot.Rank, slot.Replica}
+		if sr, ok := c.resultBySlot[key]; ok {
+			out.Results = append(out.Results, sr)
+			if sr.OK {
+				okReplicas[sr.Rank] = append(okReplicas[sr.Rank], sr.Replica)
+			}
+			continue
+		}
+		reason := "no completion report from host " + slot.HostID
+		if why, lost := c.lostSlots[key]; lost {
+			reason = why
+		}
+		out.Results = append(out.Results, proto.SlotResult{
+			Rank: slot.Rank, Replica: slot.Replica, OK: false, Err: reason,
+		})
+	}
+	sort.Slice(out.Results, func(i, j int) bool {
+		if out.Results[i].Rank != out.Results[j].Rank {
+			return out.Results[i].Rank < out.Results[j].Rank
+		}
+		return out.Results[i].Replica < out.Results[j].Replica
+	})
+
+	// Failover accounting: a rank failed over when it delivered but its
+	// leader (replica 0) was not among the survivors. RanksLost comes
+	// from the detector (collector) — only ranks *confirmed* unable to
+	// deliver count, not ranks merely pending when an early abort cut
+	// the wait short.
+	for rank := 0; rank < spec.N; rank++ {
+		if oks := okReplicas[rank]; len(oks) > 0 && slices.Min(oks) > 0 {
+			out.Failover.Failovers++
+		}
+	}
+	// Preemption outranks the detector's verdict: a killed job's ranks
+	// are "lost" by design, and reporting them as ErrRanksLost would
+	// send the job back through churn's re-book path — undoing the
+	// eviction the scheduler just paid for.
+	if s.pre != nil && s.pre.Killed() {
+		return out, fmt.Errorf("%w: job %s", ErrPreempted, s.jobID)
+	}
+	if spec.FailureDetect > 0 && out.Failover.RanksLost > 0 {
+		return out, fmt.Errorf("%w: %d of %d ranks", ErrRanksLost, out.Failover.RanksLost, spec.N)
+	}
+	return out, nil
 }
 
 // rpcDeadline bounds one retried exchange for fan-out stall timers:
@@ -955,30 +660,21 @@ func (m *MPD) rpcDeadline(timeout time.Duration) time.Duration {
 	return time.Duration(r+1)*timeout + maxBackoff
 }
 
-// cancelLaunch unwinds one host after a failed launch phase: the RS
-// hold (if the job never got past brokering there) and the
-// prepared-but-unstarted application (if Prepare already consumed the
-// hold) are both dropped.
-func (m *MPD) cancelLaunch(peer proto.PeerInfo, key string) {
-	m.cancelReservation(peer, key)
-	if peer.MPDAddr == "" {
+// notify sends one request frame to addr from a fresh actor and drops
+// the answer: fire-and-forget, for the cancels and kills whose
+// receivers are idempotent and whose loss a timeout or the crash path
+// already covers. An empty address — a peer without that service — is
+// skipped.
+func (m *MPD) notify(addr string, frame any) {
+	if addr == "" {
 		return
 	}
-	m.rt.Go("mpd.cancel."+m.cfg.Self.ID, func() {
-		transport.RequestReply(m.net, peer.MPDAddr,
-			transport.Message{Payload: proto.MustMarshal(&proto.Cancel{Key: key})},
-			m.cfg.ReserveTimeout)
-	})
-}
-
-func (m *MPD) cancelReservation(peer proto.PeerInfo, key string) {
-	if peer.RSAddr == "" {
-		return
-	}
-	m.rt.Go("mpd.cancel."+m.cfg.Self.ID, func() {
-		transport.RequestReply(m.net, peer.RSAddr,
-			transport.Message{Payload: proto.MustMarshal(&proto.Cancel{Key: key})},
-			m.cfg.ReserveTimeout)
+	m.rt.Go("mpd.notify."+m.cfg.Self.ID, func() {
+		reply, err := transport.RequestReply(m.net, addr,
+			transport.Message{Payload: proto.MustMarshal(frame)}, m.cfg.ReserveTimeout)
+		if err == nil {
+			reply.Release()
+		}
 	})
 }
 
@@ -1035,6 +731,3 @@ func Spin(env *Env) error {
 	_, err := fmt.Fprintf(&env.Out, "%s", env.HostID)
 	return err
 }
-
-// Estimator re-exports the latency kinds for configuration convenience.
-var _ = latency.KindLast

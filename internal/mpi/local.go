@@ -26,39 +26,24 @@ func RunLocal(rt vtime.Runtime, net transport.Network, host string, basePort, n 
 			Addr:   fmt.Sprintf("%s:%d", host, basePort+i),
 		}
 	}
-	type done struct {
-		rank int
-		err  error
-	}
-	mb := rt.NewMailbox()
-	for i := 0; i < n; i++ {
-		slot := slots[i]
-		rt.Go(fmt.Sprintf("mpi.local.r%d", slot.Rank), func() {
-			c, err := Join(Config{
-				Self: slot, Slots: slots, N: n, R: 1,
-				Net: net, RT: rt, Algorithms: algs,
-			})
-			if err != nil {
-				mb.Push(done{rank: slot.Rank, err: err})
-				return
-			}
-			defer c.Close()
-			defer func() {
-				if r := recover(); r != nil {
-					mb.Push(done{rank: slot.Rank, err: fmt.Errorf("panic: %v", r)})
-				}
-			}()
-			mb.Push(done{rank: slot.Rank, err: fn(c)})
-		})
-	}
 	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		v, ok := mb.Pop()
-		if !ok {
-			break
+	for rank, err := range vtime.Gather(rt, "mpi.local", n, -1, func(i int) (err error) {
+		c, err := Join(Config{
+			Self: slots[i], Slots: slots, N: n, R: 1,
+			Net: net, RT: rt, Algorithms: algs,
+		})
+		if err != nil {
+			return err
 		}
-		d := v.(done)
-		errs[d.rank] = d.err
+		defer c.Close()
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("panic: %v", r)
+			}
+		}()
+		return fn(c)
+	}) {
+		errs[rank] = err
 	}
 	return errs
 }

@@ -165,19 +165,11 @@ func offerPeers(offers []Offer) []proto.PeerInfo {
 func ReleaseAll(rt vtime.Runtime, net transport.Network, peers []proto.PeerInfo,
 	key string, timeout time.Duration) {
 
-	if len(peers) == 0 {
-		return
-	}
-	mb := rt.NewMailbox()
-	for _, p := range peers {
-		p := p
-		rt.Go("rs.release", func() {
-			transport.RequestReply(net, p.RSAddr,
-				transport.Message{Payload: proto.MustMarshal(&proto.Cancel{Key: key})}, timeout)
-			mb.Push(struct{}{})
-		})
-	}
-	for range peers {
-		mb.PopTimeout(2*timeout + 15*time.Second)
+	acks := vtime.Gather(rt, "rs.release", len(peers), timeout, func(i int) struct{} {
+		transport.RequestReply(net, peers[i].RSAddr,
+			transport.Message{Payload: proto.MustMarshal(&proto.Cancel{Key: key})}, timeout)
+		return struct{}{}
+	})
+	for range acks { // every ack, or a stall
 	}
 }

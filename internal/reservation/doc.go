@@ -17,5 +17,8 @@
 // are cancelled, and a round that cannot satisfy the caller releases
 // every obtained hold again — all-or-nothing, so a failed acquisition
 // never leaks J slots. ReleaseAll is the matching synchronous cancel
-// fan-out.
+// fan-out. Both fan-outs are one vtime.Gather each: one actor per peer,
+// every answer awaited at most 2·timeout+15s. A stall ends the wait
+// early: Broker counts the unanswered peers dead, and ReleaseAll
+// returns while the late cancels are still in flight.
 package reservation

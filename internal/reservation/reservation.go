@@ -330,52 +330,37 @@ type BrokerResult struct {
 func Broker(rt vtime.Runtime, net transport.Network, candidates []proto.PeerInfo,
 	req proto.Reserve, timeout time.Duration) BrokerResult {
 
+	// The zero answer is a dead peer: no decodable reply in time.
 	type answer struct {
-		idx  int
-		dead bool
-		ok   bool
-		p    int
+		answered, ok bool
+		p            int
 	}
-	mb := rt.NewMailbox()
-	for i, cand := range candidates {
-		i, cand := i, cand
-		rt.Go("rs.broker", func() {
-			r := req // copy; each request carries the same key
-			a := answer{idx: i, dead: true}
-			reply, err := transport.RequestReply(net, cand.RSAddr,
-				transport.Message{Payload: proto.MustMarshal(&r)}, timeout)
-			if err == nil {
-				if _, msg, err := proto.Unmarshal(reply.Payload); err == nil {
-					switch m := msg.(type) {
-					case *proto.ReserveOK:
-						a.dead, a.ok, a.p = false, true, m.P
-					case *proto.ReserveNOK:
-						a.dead, a.ok = false, false
-					}
-				}
-				reply.Release()
-			}
-			mb.Push(a)
-		})
-	}
-
-	// Every worker pushes exactly one answer within roughly the timeout
-	// (RequestReply is itself bounded); the margin covers dial time.
-	results := make([]*answer, len(candidates))
-	for range candidates {
-		v, err := mb.PopTimeout(2*timeout + 15*time.Second)
+	answers := make([]answer, len(candidates))
+	for i, a := range vtime.Gather(rt, "rs.broker", len(candidates), timeout, func(i int) (a answer) {
+		r := req // copy; each request carries the same key
+		reply, err := transport.RequestReply(net, candidates[i].RSAddr,
+			transport.Message{Payload: proto.MustMarshal(&r)}, timeout)
 		if err != nil {
-			break
+			return a
 		}
-		a := v.(answer)
-		results[a.idx] = &a
+		if _, msg, err := proto.Unmarshal(reply.Payload); err == nil {
+			switch m := msg.(type) {
+			case *proto.ReserveOK:
+				a = answer{answered: true, ok: true, p: m.P}
+			case *proto.ReserveNOK:
+				a.answered = true
+			}
+		}
+		reply.Release()
+		return a
+	}) {
+		answers[i] = a
 	}
 
 	var out BrokerResult
 	for i, cand := range candidates {
-		a := results[i]
-		switch {
-		case a == nil || a.dead:
+		switch a := answers[i]; {
+		case !a.answered:
 			out.Dead = append(out.Dead, cand)
 		case a.ok:
 			out.Offers = append(out.Offers, Offer{Peer: cand, P: a.p})

@@ -1,15 +1,13 @@
 package transport
 
-import (
-	"math/rand"
-	"time"
-)
+import "time"
 
-// The robustness layer over RequestReply: error classification, seeded
-// exponential-backoff-plus-jitter retries and a per-peer circuit
-// breaker. Everything here is clock-agnostic — callers pass a Clock
-// (vtime.Runtime satisfies it) so retries burn virtual time in the
-// simulator and wall time against a real network.
+// The robustness layer over RequestReply: error classification and a
+// per-peer circuit breaker. The retry loop itself lives with its one
+// user, the MPD (withRetry), which draws seeded per-target jitter and
+// sleeps on its runtime, so retries burn virtual time in the simulator
+// and wall time against a real network. The breaker takes the current
+// time as an argument rather than reading a clock.
 
 // Retryable classifies an RPC failure: true for failures a retry can
 // plausibly fix (the request or reply timed out in flight, the listener
@@ -22,60 +20,6 @@ func Retryable(err error) bool {
 		return true
 	}
 	return false
-}
-
-// Clock abstracts time for the retry machinery. vtime.Runtime satisfies
-// it directly.
-type Clock interface {
-	Now() time.Time
-	Sleep(d time.Duration)
-}
-
-// RetryPolicy tunes RequestReplyRetry. The zero value performs exactly
-// one attempt — no retries, no backoff — which is the historical
-// behavior of every call site.
-type RetryPolicy struct {
-	// Retries is the number of re-attempts after the first try.
-	Retries int
-	// Backoff is the base delay before the first retry; attempt k waits
-	// Backoff·2^(k-1), each delay multiplied by a seeded uniform jitter
-	// in [0.5, 1.5) so synchronized clients spread out. Defaults to 1s
-	// when Retries > 0.
-	Backoff time.Duration
-	// Seed drives the jitter draws (deterministic under the simulator).
-	Seed int64
-}
-
-// delay returns the backoff before re-attempt k (1-based).
-func (p RetryPolicy) delay(rng *rand.Rand, k int) time.Duration {
-	base := p.Backoff
-	if base <= 0 {
-		base = time.Second
-	}
-	d := base << uint(k-1)
-	return time.Duration(float64(d) * (0.5 + rng.Float64()))
-}
-
-// RequestReplyRetry is RequestReply with deadline-bounded retries:
-// each attempt gets the full timeout, retryable failures (Retryable)
-// back off exponentially with seeded jitter and try again, terminal
-// failures and success return immediately. It returns the last error
-// alongside the attempt count (total tries, ≥ 1) so callers can meter
-// retry volume. A nil clock degrades to a single attempt.
-func RequestReplyRetry(clock Clock, n Network, addr string, req Message, timeout time.Duration, p RetryPolicy) (Message, int, error) {
-	m, err := RequestReply(n, addr, req, timeout)
-	if err == nil || p.Retries <= 0 || clock == nil || !Retryable(err) {
-		return m, 1, err
-	}
-	rng := rand.New(rand.NewSource(p.Seed))
-	for k := 1; k <= p.Retries; k++ {
-		clock.Sleep(p.delay(rng, k))
-		m, err = RequestReply(n, addr, req, timeout)
-		if err == nil || !Retryable(err) {
-			return m, 1 + k, err
-		}
-	}
-	return m, 1 + p.Retries, err
 }
 
 // Breaker is a consecutive-failure circuit breaker for one peer. After

@@ -6,59 +6,6 @@ import (
 	"time"
 )
 
-// fakeClock advances instantly on Sleep and records the waits.
-type fakeClock struct {
-	now    time.Time
-	sleeps []time.Duration
-}
-
-func (c *fakeClock) Now() time.Time { return c.now }
-func (c *fakeClock) Sleep(d time.Duration) {
-	c.sleeps = append(c.sleeps, d)
-	c.now = c.now.Add(d)
-}
-
-// scriptConn returns one scripted reply (or error) per exchange.
-type scriptConn struct {
-	err error
-}
-
-func (c *scriptConn) Send(m Message) error { return nil }
-func (c *scriptConn) Recv() (Message, error) {
-	return c.RecvTimeout(-1)
-}
-func (c *scriptConn) RecvTimeout(d time.Duration) (Message, error) {
-	if c.err != nil {
-		return Message{}, c.err
-	}
-	return Message{Payload: []byte("ok")}, nil
-}
-func (c *scriptConn) Close() error       { return nil }
-func (c *scriptConn) LocalAddr() string  { return "local:1" }
-func (c *scriptConn) RemoteAddr() string { return "remote:1" }
-
-// scriptNet fails attempt i with errs[i] (nil = success); attempts past
-// the script succeed. A dialErrs entry fails the Dial itself.
-type scriptNet struct {
-	errs     []error
-	dialErrs []error
-	dials    int
-}
-
-func (n *scriptNet) Listen(addr string) (Listener, error) { return nil, ErrUnreachable }
-func (n *scriptNet) Dial(addr string) (Conn, error) {
-	i := n.dials
-	n.dials++
-	if i < len(n.dialErrs) && n.dialErrs[i] != nil {
-		return nil, n.dialErrs[i]
-	}
-	var err error
-	if i < len(n.errs) {
-		err = n.errs[i]
-	}
-	return &scriptConn{err: err}, nil
-}
-
 func TestRetryableClassification(t *testing.T) {
 	if !Retryable(ErrTimeout) || !Retryable(ErrUnreachable) {
 		t.Fatal("timeouts and unreachable must be retryable")
@@ -68,84 +15,6 @@ func TestRetryableClassification(t *testing.T) {
 	}
 	if Retryable(errors.New("other")) || Retryable(nil) {
 		t.Fatal("unknown errors and nil must not be retryable")
-	}
-}
-
-func TestRequestReplyRetryRecovers(t *testing.T) {
-	net := &scriptNet{errs: []error{ErrTimeout, ErrTimeout, nil}}
-	clock := &fakeClock{}
-	m, tries, err := RequestReplyRetry(clock, net, "a:1", Message{}, time.Second,
-		RetryPolicy{Retries: 3, Backoff: time.Second, Seed: 7})
-	if err != nil || string(m.Payload) != "ok" {
-		t.Fatalf("got %q, %v", m.Payload, err)
-	}
-	if tries != 3 {
-		t.Fatalf("tries = %d, want 3", tries)
-	}
-	if len(clock.sleeps) != 2 {
-		t.Fatalf("slept %d times, want 2", len(clock.sleeps))
-	}
-	// Exponential envelope with jitter in [0.5, 1.5): attempt k waits
-	// base·2^(k-1)·jitter.
-	if clock.sleeps[0] < 500*time.Millisecond || clock.sleeps[0] >= 1500*time.Millisecond {
-		t.Fatalf("first backoff %v outside [0.5s, 1.5s)", clock.sleeps[0])
-	}
-	if clock.sleeps[1] < time.Second || clock.sleeps[1] >= 3*time.Second {
-		t.Fatalf("second backoff %v outside [1s, 3s)", clock.sleeps[1])
-	}
-}
-
-func TestRequestReplyRetryDeterministicBackoff(t *testing.T) {
-	run := func() []time.Duration {
-		net := &scriptNet{errs: []error{ErrTimeout, ErrTimeout, ErrTimeout, nil}}
-		clock := &fakeClock{}
-		if _, _, err := RequestReplyRetry(clock, net, "a:1", Message{}, time.Second,
-			RetryPolicy{Retries: 5, Backoff: 2 * time.Second, Seed: 42}); err != nil {
-			t.Fatal(err)
-		}
-		return clock.sleeps
-	}
-	a, b := run(), run()
-	if len(a) != 3 {
-		t.Fatalf("slept %d times, want 3", len(a))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("backoff %d diverged across identical runs: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
-func TestRequestReplyRetryStopsOnTerminalError(t *testing.T) {
-	net := &scriptNet{errs: []error{ErrTimeout, ErrClosed, nil}}
-	clock := &fakeClock{}
-	_, tries, err := RequestReplyRetry(clock, net, "a:1", Message{}, time.Second,
-		RetryPolicy{Retries: 5, Backoff: time.Second})
-	if err != ErrClosed {
-		t.Fatalf("err = %v, want ErrClosed", err)
-	}
-	if tries != 2 {
-		t.Fatalf("tries = %d, want 2 (no retry after peer-gone)", tries)
-	}
-}
-
-func TestRequestReplyRetryZeroPolicySingleAttempt(t *testing.T) {
-	net := &scriptNet{errs: []error{ErrTimeout, nil}}
-	clock := &fakeClock{}
-	_, tries, err := RequestReplyRetry(clock, net, "a:1", Message{}, time.Second, RetryPolicy{})
-	if err != ErrTimeout || tries != 1 || len(clock.sleeps) != 0 {
-		t.Fatalf("zero policy must behave like RequestReply: err=%v tries=%d sleeps=%d",
-			err, tries, len(clock.sleeps))
-	}
-}
-
-func TestRequestReplyRetryDialErrors(t *testing.T) {
-	net := &scriptNet{dialErrs: []error{ErrUnreachable, nil}}
-	clock := &fakeClock{}
-	m, tries, err := RequestReplyRetry(clock, net, "a:1", Message{}, time.Second,
-		RetryPolicy{Retries: 2, Backoff: time.Second})
-	if err != nil || string(m.Payload) != "ok" || tries != 2 {
-		t.Fatalf("got %q, tries=%d, %v", m.Payload, tries, err)
 	}
 }
 

@@ -30,6 +30,11 @@
 // The Runtime interface is the portable subset middleware is written
 // against: Scheduler implements it in virtual time, Real implements it
 // on the wall clock, and the identical daemon code runs in both worlds.
-// Mailbox is the portable blocking FIFO used wherever concurrent
-// results are gathered.
+// Mailbox is the portable blocking FIFO used wherever actors hand off
+// values. Gather, built on it, is the one scatter-gather of the
+// middleware: every per-peer fan-out (reservation brokering and
+// release, latency and detector pings, the Prepare and Start launch
+// phases, a host's local processes, RunLocal's ranks) spawns its
+// workers and collects their answers through it, under one shared
+// stall bound of 2·wait + 15s.
 package vtime

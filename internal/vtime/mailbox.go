@@ -1,9 +1,52 @@
 package vtime
 
 import (
+	"iter"
 	"sync"
 	"time"
 )
+
+// Gather is the one scatter-gather of the middleware: it starts fn(0),
+// fn(1), …, fn(n-1) as actors named name, in index order, and yields
+// each (i, fn(i)) in arrival order. Every wait for the next answer is
+// bounded by 2·wait + 15s — the worker's own bounded exchange plus a
+// margin for dialling — and wait < 0 waits without bound. The sequence
+// ends after n answers, at the first wait that expires (a stall), or
+// when the caller stops ranging; a caller that counts fewer than n
+// answers has seen a stall. Workers never block on the hand-off, so
+// breaking out early strands no actor.
+//
+// Under a virtual-time runtime Gather must be ranged over from an
+// actor, like any mailbox pop.
+func Gather[T any](rt Runtime, name string, n int, wait time.Duration, fn func(i int) T) iter.Seq2[int, T] {
+	type answer struct {
+		i int
+		v T
+	}
+	return func(yield func(int, T) bool) {
+		if n <= 0 {
+			return
+		}
+		mb := rt.NewMailbox()
+		for i := 0; i < n; i++ {
+			rt.Go(name, func() { mb.Push(answer{i, fn(i)}) })
+		}
+		bound := time.Duration(-1)
+		if wait >= 0 {
+			bound = 2*wait + 15*time.Second
+		}
+		for range n {
+			v, err := mb.PopTimeout(bound)
+			if err != nil {
+				return
+			}
+			a := v.(answer)
+			if !yield(a.i, a.v) {
+				return
+			}
+		}
+	}
+}
 
 // Mailbox is the runtime-portable unbounded FIFO used by middleware code
 // to gather concurrent results (e.g. reservation fan-out answers). The
